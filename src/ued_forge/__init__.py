@@ -39,7 +39,6 @@ from .level_sampler import (
     load_buffer,
     new_buffer,
     sample_levels,
-    sample_replay_decision,
     sampling_weights,
     save_buffer,
     update_batch,
@@ -92,7 +91,7 @@ from .rl_core import (
 )
 from .rng import Key, fold_in, generator, key_from_seed, split
 from .ued import (
-    ReplayState,
+    RunState,
     TrainResult,
     UedConfig,
     UedError,
@@ -108,9 +107,6 @@ from .ued import (
     score_pvl,
     steps_per_cycle,
     train,
-    train_dr,
-    train_paired,
-    train_replay,
     ued_config_from_dict,
 )
 

@@ -39,22 +39,12 @@ class BufferError(Exception):
 class SamplerConfig:
     temperature: float = 0.3
     staleness_coeff: float = 0.3
-    prioritization: str = "rank"
-    replay_prob: float = 0.5
-    min_fill_ratio: float = 0.5
-    dedup: bool = True
 
     def __post_init__(self):
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
         if not 0.0 <= self.staleness_coeff <= 1.0:
             raise ValueError("staleness_coeff must be in [0, 1]")
-        if not 0.0 <= self.replay_prob <= 1.0:
-            raise ValueError("replay_prob must be in [0, 1]")
-        if not 0.0 <= self.min_fill_ratio <= 1.0:
-            raise ValueError("min_fill_ratio must be in [0, 1]")
-        if self.prioritization != "rank":
-            raise ValueError(f"unsupported prioritization {self.prioritization!r}")
 
 
 @dataclass(frozen=True)
@@ -84,16 +74,6 @@ def new_buffer(capacity: int) -> LevelBuffer:
     if capacity <= 0:
         raise ValueError("capacity must be positive")
     return LevelBuffer(capacity=capacity)
-
-
-def sample_replay_decision(
-    buffer: LevelBuffer, config: SamplerConfig, rng: np.random.Generator
-) -> bool:
-    """True (replay stored levels) with probability ``replay_prob``, but
-    always False while the buffer is below its fill threshold."""
-    if buffer.size < config.min_fill_ratio * buffer.capacity:
-        return False
-    return bool(rng.random() < config.replay_prob)
 
 
 def sampling_weights(buffer: LevelBuffer, config: SamplerConfig) -> np.ndarray:
@@ -153,8 +133,8 @@ def insert_batch(
     """Insert candidates in order. While the buffer has room they are
     appended; once full, a candidate replaces the current minimum-score
     entry only if its score is strictly greater (argmin ties resolve to the
-    lowest slot). With dedup on, a candidate equal to a stored level updates
-    that entry in place instead.
+    lowest slot). A candidate equal to a stored level updates that entry in
+    place instead.
     """
     scores = _check_scores(scores)
     if extras is None:
@@ -284,6 +264,15 @@ def buffer_to_text(buffer: LevelBuffer) -> str:
 
 
 def buffer_from_text(text: str) -> LevelBuffer:
+    """Parse :func:`buffer_to_text` output; raises :class:`BufferError` on
+    any malformed input."""
+    try:
+        return _parse_buffer(text)
+    except ValueError as exc:
+        raise BufferError(f"bad buffer checkpoint: {exc}") from exc
+
+
+def _parse_buffer(text: str) -> LevelBuffer:
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()

@@ -17,17 +17,16 @@ instantiate with ``dtype="float64"`` for high-precision gradient checking.
 
 Rollouts step a batch of environments for a fixed number of steps, sampling
 actions from the policy. Each environment owns an independent random stream
-derived by key splitting, so trajectories are byte-identical no matter how
-many worker threads (``UED_FORGE_THREADS``) process the batch.
+derived by key splitting, so a trajectory depends only on its key.
 """
 
 from __future__ import annotations
 
 import json
-import os
+import math
+import numbers
 import struct
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -42,13 +41,29 @@ class TrainingDivergedError(RuntimeError):
     """Raised when a loss or gradient stops being finite."""
 
 
+_FIELD_KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}
+
+
+def check_field_types(obj) -> None:
+    """Raise TypeError unless every int, float, bool or str field of the
+    dataclass ``obj`` holds a value of that kind (``X | None`` allows None).
+    A bool is not accepted as a number."""
+    for f in fields(obj):
+        kind, optional, _ = f.type.partition(" | None")
+        expected = _FIELD_KINDS.get(kind)
+        value = getattr(obj, f.name)
+        if expected is None or (optional and value is None):
+            continue
+        if not isinstance(value, expected) or (isinstance(value, bool) and expected is not bool):
+            raise TypeError(f"{f.name} must be {kind}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PpoConfig:
     gamma: float = 0.995
     gae_lambda: float = 0.98
     rollout_steps: int = 256
     epochs: int = 5
-    minibatches: int = 1
     clip: float = 0.2
     n_envs: int = 32
     lr: float = 1e-4
@@ -58,6 +73,21 @@ class PpoConfig:
     value_clip: bool = True
     vf_coeff: float = 0.5
     ent_coeff: float = 1e-3
+
+    def __post_init__(self):
+        check_field_types(self)
+        for name in ("gamma", "gae_lambda"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
+        for name in ("rollout_steps", "epochs", "n_envs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        for name in ("clip", "lr", "adam_eps", "max_grad_norm"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        for name in ("vf_coeff", "ent_coeff"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
 
 
 def annealed_lr(config: PpoConfig, update_index: int, total_updates: int) -> float:
@@ -315,64 +345,54 @@ def compute_gae(traj: Trajectory, gamma: float, lam: float):
 class EpisodeStats:
     """Completed episodes found in a trajectory, in (env, time) order."""
 
-    returns: np.ndarray  # undiscounted sum of rewards per completed episode
+    returns: np.ndarray  # sum of rewards per completed episode (float64)
     solved: np.ndarray   # terminal reward > 0
     env_ids: np.ndarray  # which env column each episode came from
     n_incomplete: int    # trailing partial episodes (one per env, at most)
 
 
-def episode_returns(traj: Trajectory) -> EpisodeStats:
-    returns, solved, env_ids = [], [], []
-    n_incomplete = 0
-    for e in range(traj.n_envs):
-        rew = traj.rewards[:, e]
-        ends = np.flatnonzero(traj.dones[:, e])
-        start = 0
-        for end in ends:
-            returns.append(float(rew[start:end + 1].sum()))
-            solved.append(bool(rew[end] > 0))
-            env_ids.append(e)
-            start = end + 1
-        if start < traj.n_steps:
-            n_incomplete += 1
+def episode_returns(traj: Trajectory, gamma: float | None = None) -> EpisodeStats:
+    """Split every env column at its done flags into episodes.
+
+    ``gamma=None`` sums each completed episode's rewards; otherwise step k of
+    an episode is weighted by ``gamma ** k``, discounting from its first step.
+    """
+    n_envs, n_steps = traj.n_envs, traj.n_steps
+    rewards = traj.rewards.T.astype(np.float64).ravel()
+    dones = traj.dones.T.ravel()
+    # An episode starts at each column's first step and after each done.
+    is_start = np.zeros(rewards.size + 1, dtype=np.bool_)
+    is_start[np.arange(n_envs) * n_steps] = True
+    is_start[np.flatnonzero(dones) + 1] = True
+    starts = np.flatnonzero(is_start[:-1])
+    ends = np.append(starts, rewards.size)[1:] - 1
+    weighted = rewards
+    if gamma is not None:
+        step = np.arange(rewards.size) - starts[np.cumsum(is_start[:-1]) - 1]
+        weighted = rewards * gamma ** step
+    sums = np.add.reduceat(weighted, starts) if starts.size else weighted
+    complete = dones[ends]
     return EpisodeStats(
-        returns=np.asarray(returns, dtype=np.float64),
-        solved=np.asarray(solved, dtype=np.bool_),
-        env_ids=np.asarray(env_ids, dtype=np.int64),
-        n_incomplete=n_incomplete,
+        returns=sums[complete],
+        solved=rewards[ends[complete]] > 0,
+        env_ids=np.repeat(np.arange(n_envs), n_steps)[ends[complete]],
+        n_incomplete=int((~complete).sum()),
     )
 
 
-def max_episode_discounted_returns(traj: Trajectory, gamma: float) -> np.ndarray:
-    """Best completed-episode discounted return per env (0 with no episode)."""
-    best = np.zeros(traj.n_envs, dtype=np.float64)
-    for e in range(traj.n_envs):
-        rew = traj.rewards[:, e].astype(np.float64)
-        ends = np.flatnonzero(traj.dones[:, e])
-        start = 0
-        got_one = False
-        best_e = -np.inf
-        for end in ends:
-            seg = rew[start:end + 1]
-            disc = float(seg @ (gamma ** np.arange(seg.size)))
-            best_e = max(best_e, disc)
-            got_one = True
-            start = end + 1
-        best[e] = best_e if got_one else 0.0
+def max_episode_discounted_returns(traj: Trajectory, gamma: float | None) -> np.ndarray:
+    """Best completed-episode return per env (0 with no episode), discounted
+    by ``gamma`` as in :func:`episode_returns`."""
+    stats = episode_returns(traj, gamma)
+    best = np.full(traj.n_envs, -np.inf)
+    np.maximum.at(best, stats.env_ids, stats.returns)
+    best[np.bincount(stats.env_ids, minlength=traj.n_envs) == 0] = 0.0
     return best
 
 
 # ---------------------------------------------------------------------------
 # Rollout collection
 # ---------------------------------------------------------------------------
-
-def rollout_threads() -> int:
-    """Worker cap for batched stepping, from UED_FORGE_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("UED_FORGE_THREADS", "1")))
-    except ValueError:
-        return 1
-
 
 def rollout(
     env: UnderspecifiedEnv,
@@ -381,21 +401,17 @@ def rollout(
     observations: list,
     n_steps: int,
     key: rng_mod.Key,
-    threads: int | None = None,
 ):
     """Step N envs for ``n_steps``, sampling actions from the policy.
 
     Returns (Trajectory, final states, final observations). Each env consumes
-    its own split of ``key``, so results do not depend on ``threads``.
+    its own split of ``key``.
     """
     n = len(states)
     cfg = params.config
     states = list(states)
     observations = list(observations)
     gens = [rng_mod.generator(k) for k in rng_mod.split(key, n)]
-    if threads is None:
-        threads = rollout_threads()
-    threads = min(threads, n) if n else 1
 
     img_shape = tuple(cfg.image_shape)
     images = np.zeros((n_steps, n) + img_shape, dtype=np.float32)
@@ -415,10 +431,14 @@ def rollout(
             ext[e] = ex
         return img, ext
 
-    executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-
-    def step_range(t, logp, lo, hi):
-        for e in range(lo, hi):
+    for t in range(n_steps):
+        img, ext = encode_batch()
+        images[t] = img
+        extras[t] = ext
+        logits, vals = forward(params, img, ext)
+        values[t] = vals
+        logp = log_softmax(logits.astype(np.float64))
+        for e in range(n):
             u = gens[e].random()
             cdf = np.cumsum(np.exp(logp[e]))
             a = int(np.searchsorted(cdf, u * cdf[-1], side="right"))
@@ -430,28 +450,6 @@ def rollout(
             observations[e] = res.observation
             rewards[t, e] = res.reward
             dones[t, e] = res.done
-
-    try:
-        for t in range(n_steps):
-            img, ext = encode_batch()
-            images[t] = img
-            extras[t] = ext
-            logits, vals = forward(params, img, ext)
-            values[t] = vals
-            logp = log_softmax(logits.astype(np.float64))
-            if executor is None:
-                step_range(t, logp, 0, n)
-            else:
-                bounds = np.linspace(0, n, threads + 1, dtype=int)
-                list(
-                    executor.map(
-                        lambda i: step_range(t, logp, bounds[i], bounds[i + 1]),
-                        range(threads),
-                    )
-                )
-    finally:
-        if executor is not None:
-            executor.shutdown()
 
     if n_steps > 0 or n > 0:
         img, ext = encode_batch()
@@ -586,8 +584,6 @@ def ppo_update(
     Returns (new params, stats from the final epoch). ``lr`` defaults to the
     un-annealed config value; training loops pass the annealed rate.
     """
-    if config.minibatches != 1:
-        raise NotImplementedError("only single-minibatch PPO is supported")
     if lr is None:
         lr = config.lr
     dt = params.config.np_dtype
@@ -660,7 +656,20 @@ def params_to_bytes(params: ActorCriticParams) -> bytes:
     return _NET_MAGIC + struct.pack("<I", len(head)) + head + body
 
 
+class CheckpointError(ValueError):
+    """Malformed network checkpoint bytes."""
+
+
 def params_from_bytes(data: bytes) -> ActorCriticParams:
+    """Decode :func:`params_to_bytes` output; raises :class:`CheckpointError`
+    on any malformed input."""
+    try:
+        return _decode_params(data)
+    except (struct.error, AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"bad network checkpoint: {exc}") from exc
+
+
+def _decode_params(data: bytes) -> ActorCriticParams:
     if data[:8] != _NET_MAGIC:
         raise ValueError("not a network checkpoint (bad magic)")
     (head_len,) = struct.unpack("<I", data[8:12])

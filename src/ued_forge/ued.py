@@ -29,11 +29,12 @@ or by a maximum-Monte-Carlo gap (mean of ``max(0, R_max - V(s))`` with
 ``R_max`` the best discounted return ever observed on that level); scores
 drive the buffer's rank-based replay distribution.
 
-Every loop draws its per-cycle randomness as ``fold_in(run_key, cycle)``, so
-a run checkpointed mid-stream resumes on the exact random sequence. Metrics
-are emitted as one JSON object per cycle with sorted keys; identical seeds
-give byte-identical metrics and checkpoints regardless of the rollout
-thread count.
+Each algorithm supplies one ``cycle(state, key) -> (state, entry)`` over a
+shared :class:`RunState`; one driver runs every algorithm's cycles. It draws
+each cycle's randomness as ``fold_in(run_key, cycle)``, so a run
+checkpointed mid-stream resumes on the exact random sequence. Metrics are
+emitted as one JSON object per cycle with sorted keys; identical seeds give
+byte-identical metrics and checkpoints.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import base64
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -57,6 +58,7 @@ from .level_sampler import (
     insert_batch,
     new_buffer,
     sample_levels,
+    save_buffer,
     update_batch,
 )
 from .maze import (
@@ -76,6 +78,7 @@ from .rl_core import (
     PpoConfig,
     Trajectory,
     annealed_lr,
+    check_field_types,
     compute_gae,
     episode_returns,
     init_params,
@@ -135,6 +138,9 @@ class UedConfig:
     ppo: PpoConfig = field(default_factory=PpoConfig)
 
     def __post_init__(self):
+        check_field_types(self)
+        if not isinstance(self.ppo, PpoConfig):
+            raise TypeError(f"ppo must be a PpoConfig, got {self.ppo!r}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.scoring not in SCORING:
@@ -145,10 +151,12 @@ class UedConfig:
             raise ValueError("buffer_capacity must be positive")
         if self.n_edits < 1:
             raise ValueError("n_edits must be at least 1")
-        for name in ("replay_prob", "mutation_prob"):
+        for name in ("replay_prob", "mutation_prob", "min_fill_ratio", "staleness_coeff"):
             p = getattr(self, name)
             if p is not None and not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
+        if not self.temperature > 0:
+            raise ValueError("temperature must be positive")
 
     @property
     def resolved_replay_prob(self) -> float:
@@ -169,21 +177,28 @@ class UedConfig:
 
 
 def ued_config_from_dict(data: dict) -> UedConfig:
-    """Build a config from plain JSON data, rejecting unknown keys."""
-    data = dict(data)
-    ppo_data = data.pop("ppo", None)
-    known = {f for f in UedConfig.__dataclass_fields__ if f != "ppo"}
-    for key in data:
-        if key not in known:
-            raise UedError(f"unknown config key: {key}")
-    kwargs = dict(data)
-    if ppo_data is not None:
-        ppo_known = set(PpoConfig.__dataclass_fields__)
-        for key in ppo_data:
-            if key not in ppo_known:
-                raise UedError(f"unknown config key: ppo.{key}")
-        kwargs["ppo"] = PpoConfig(**ppo_data)
+    """Build a config from plain JSON data, rejecting unknown keys.
+
+    ``ppo.minibatches`` is accepted with its one supported value, 1, and
+    dropped, so run states written while PPO had that field still load.
+    """
     try:
+        data = dict(data)
+        ppo_data = data.pop("ppo", None)
+        known = {f for f in UedConfig.__dataclass_fields__ if f != "ppo"}
+        for key in data:
+            if key not in known:
+                raise UedError(f"unknown config key: {key}")
+        kwargs = dict(data)
+        if ppo_data is not None:
+            ppo_data = dict(ppo_data)
+            if ppo_data.pop("minibatches", 1) != 1:
+                raise UedError("ppo.minibatches must be 1 (PPO runs on the full batch)")
+            ppo_known = set(PpoConfig.__dataclass_fields__)
+            for key in ppo_data:
+                if key not in ppo_known:
+                    raise UedError(f"unknown config key: ppo.{key}")
+            kwargs["ppo"] = PpoConfig(**ppo_data)
         return UedConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise UedError(str(exc)) from exc
@@ -195,12 +210,7 @@ def ued_config_to_dict(config: UedConfig) -> dict:
 
 def _sampler_config(config: UedConfig) -> SamplerConfig:
     return SamplerConfig(
-        temperature=config.temperature,
-        staleness_coeff=config.staleness_coeff,
-        prioritization="rank",
-        replay_prob=config.resolved_replay_prob,
-        min_fill_ratio=config.min_fill_ratio,
-        dedup=True,
+        temperature=config.temperature, staleness_coeff=config.staleness_coeff
     )
 
 
@@ -316,70 +326,44 @@ def _score_trajectory(
     return scores, [{"max_return": float(b)} for b in best]
 
 
-def _episode_returns_per_env(traj: Trajectory, gamma: float | None):
-    """Completed-episode returns grouped by env column.
-
-    ``gamma=None`` gives undiscounted sums; otherwise discounted from each
-    episode's first step.
-    """
-    out = [[] for _ in range(traj.n_envs)]
-    for e in range(traj.n_envs):
-        rew = traj.rewards[:, e].astype(np.float64)
-        ends = np.flatnonzero(traj.dones[:, e])
-        start = 0
-        for end in ends:
-            seg = rew[start:end + 1]
-            if gamma is None:
-                out[e].append(float(seg.sum()))
-            else:
-                out[e].append(float(seg @ (gamma ** np.arange(seg.size))))
-            start = end + 1
-    return out
-
-
 # ---------------------------------------------------------------------------
-# Shared cycle plumbing
+# Run state and shared cycle plumbing
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ReplayState:
-    """Mutable loop state for the buffer-based algorithms."""
+class RunState:
+    """Everything a training cycle reads and a run checkpoint stores.
+
+    ``params`` is the evaluated policy (the protagonist under ``paired``).
+    ``env_states`` is set only for ``dr``; ``buffer``, ``node`` and
+    ``last_replayed`` only for the replay algorithms; ``antagonist`` and
+    ``adversary`` only for ``paired``.
+    """
 
     params: ActorCriticParams
-    buffer: LevelBuffer
-    node: str = NODE_A
     cycle: int = 0
     env_steps: int = 0
     updates: int = 0
+    env_states: list | None = None
+    buffer: LevelBuffer | None = None
+    node: str | None = None
     last_replayed: tuple | None = None
+    antagonist: ActorCriticParams | None = None
+    adversary: ActorCriticParams | None = None
 
 
-def _reset_to_levels(env, levels, key: rng_mod.Key):
-    states, observations = [], []
-    for level, k in zip(levels, rng_mod.split(key, len(levels))):
-        state, obs = env.reset_to_level(level, rng_mod.generator(k))
-        states.append(state)
-        observations.append(obs)
-    return states, observations
-
-
-def rollout_on_levels(
-    config: UedConfig,
-    env,
-    params: ActorCriticParams,
-    levels,
-    key: rng_mod.Key,
-    n_steps: int | None = None,
-):
-    """Reset one env per level and collect a fixed-length batched rollout."""
+def rollout_on_levels(config: UedConfig, env, params: ActorCriticParams, levels,
+                      key: rng_mod.Key):
+    """Reset one env per level, collect a fixed-length batched rollout, and
+    return it with its GAE advantages and value targets."""
     k_reset, k_roll = rng_mod.split(key)
-    states, observations = _reset_to_levels(env, levels, k_reset)
-    traj, states, observations = rollout(
-        env, params, states, observations,
-        config.ppo.rollout_steps if n_steps is None else n_steps, k_roll,
-    )
+    states, observations = zip(*(
+        env.reset_to_level(level, rng_mod.generator(k))
+        for level, k in zip(levels, rng_mod.split(k_reset, len(levels)))
+    ))
+    traj, _, _ = rollout(env, params, states, observations, config.ppo.rollout_steps, k_roll)
     adv, targets = compute_gae(traj, config.ppo.gamma, config.ppo.gae_lambda)
-    return traj, adv, targets, states
+    return traj, adv, targets
 
 
 def _episode_metrics(traj: Trajectory) -> dict:
@@ -411,11 +395,19 @@ def _lr_for_cycle(config: UedConfig, cycle: int) -> float:
     return annealed_lr(config.ppo, cycle, planned_cycles(config))
 
 
+def _train_student(config: UedConfig, state: RunState, traj, adv, targets):
+    """One PPO update of ``state.params`` at this cycle's learning rate."""
+    lr = _lr_for_cycle(config, state.cycle)
+    params, stats = ppo_update(state.params, traj, adv, targets, config.ppo, lr)
+    metrics = {"trained": True, "lr": lr, **_train_metrics(stats)}
+    return replace(state, params=params, updates=state.updates + 1), metrics
+
+
 # ---------------------------------------------------------------------------
 # Buffer-based cycle subroutines
 # ---------------------------------------------------------------------------
 
-def on_new_levels(config: UedConfig, env, state: ReplayState, key: rng_mod.Key):
+def on_new_levels(config: UedConfig, env, state: RunState, key: rng_mod.Key):
     """Generate, roll out, score, and insert a batch of fresh levels.
 
     Trains on them unless the algorithm is replay-only ("robust").
@@ -427,37 +419,30 @@ def on_new_levels(config: UedConfig, env, state: ReplayState, key: rng_mod.Key):
         )
         for k in rng_mod.split(k_gen, config.ppo.n_envs)
     ]
-    traj, adv, targets, _ = rollout_on_levels(config, env, state.params, levels, k_roll)
+    traj, adv, targets = rollout_on_levels(config, env, state.params, levels, k_roll)
     scores, extras = _score_trajectory(config, traj, adv, prior_max=None)
 
-    metrics = {"cycle_type": OP_NEW, "trained": not config.robust}
-    params, updates = state.params, state.updates
+    metrics = {"cycle_type": OP_NEW, "trained": False}
     if not config.robust:
-        lr = _lr_for_cycle(config, state.cycle)
-        params, stats = ppo_update(params, traj, adv, targets, config.ppo, lr)
-        updates += 1
-        metrics.update(_train_metrics(stats), lr=lr)
-
-    buffer = insert_batch(state.buffer, levels, scores, extras)
+        state, trained = _train_student(config, state, traj, adv, targets)
+        metrics.update(trained)
     metrics.update(_episode_metrics(traj))
     new_state = replace(
         state,
-        params=params,
-        buffer=buffer,
-        updates=updates,
+        buffer=insert_batch(state.buffer, levels, scores, extras),
         env_steps=state.env_steps + config.ppo.n_envs * traj.n_steps,
     )
     return new_state, metrics
 
 
-def on_replay_levels(config: UedConfig, env, state: ReplayState, key: rng_mod.Key):
+def on_replay_levels(config: UedConfig, env, state: RunState, key: rng_mod.Key):
     """Replay buffered levels, always train, and refresh their scores."""
     k_sample, k_roll = rng_mod.split(key)
     buffer, indices, levels = sample_levels(
         state.buffer, _sampler_config(config), rng_mod.generator(k_sample),
         config.ppo.n_envs,
     )
-    traj, adv, targets, _ = rollout_on_levels(config, env, state.params, levels, k_roll)
+    traj, adv, targets = rollout_on_levels(config, env, state.params, levels, k_roll)
     if config.scoring == "maxmc":
         prior = np.array(
             [buffer.extras[i].get("max_return", 0.0) for i in indices],
@@ -467,25 +452,18 @@ def on_replay_levels(config: UedConfig, env, state: ReplayState, key: rng_mod.Ke
         prior = None
     scores, extras = _score_trajectory(config, traj, adv, prior_max=prior)
 
-    lr = _lr_for_cycle(config, state.cycle)
-    params, stats = ppo_update(state.params, traj, adv, targets, config.ppo, lr)
-    buffer = update_batch(buffer, indices, scores, extras)
-
-    metrics = {"cycle_type": OP_REPLAY, "trained": True, "lr": lr}
-    metrics.update(_train_metrics(stats))
-    metrics.update(_episode_metrics(traj))
+    state, trained = _train_student(config, state, traj, adv, targets)
+    metrics = {"cycle_type": OP_REPLAY, **trained, **_episode_metrics(traj)}
     new_state = replace(
         state,
-        params=params,
-        buffer=buffer,
-        updates=state.updates + 1,
+        buffer=update_batch(buffer, indices, scores, extras),
         env_steps=state.env_steps + config.ppo.n_envs * traj.n_steps,
         last_replayed=tuple(levels),
     )
     return new_state, metrics
 
 
-def on_mutate_levels(config: UedConfig, env, state: ReplayState, key: rng_mod.Key):
+def on_mutate_levels(config: UedConfig, env, state: RunState, key: rng_mod.Key):
     """Mutate the most recently replayed levels, score, insert. Never trains."""
     if not state.last_replayed:
         raise UedError("mutation requested before any replay cycle")
@@ -494,7 +472,7 @@ def on_mutate_levels(config: UedConfig, env, state: ReplayState, key: rng_mod.Ke
         mutate_level(level, rng_mod.generator(k), config.n_edits)
         for level, k in zip(state.last_replayed, rng_mod.split(k_mut, len(state.last_replayed)))
     ]
-    traj, adv, targets, _ = rollout_on_levels(config, env, state.params, levels, k_roll)
+    traj, adv, targets = rollout_on_levels(config, env, state.params, levels, k_roll)
     scores, extras = _score_trajectory(config, traj, adv, prior_max=None)
     buffer = insert_batch(state.buffer, levels, scores, extras)
 
@@ -509,35 +487,147 @@ def on_mutate_levels(config: UedConfig, env, state: ReplayState, key: rng_mod.Ke
 
 
 # ---------------------------------------------------------------------------
-# Metrics / output plumbing
+# Per-algorithm cycles: each factory returns cycle(state, key) -> (state, entry)
+# ---------------------------------------------------------------------------
+
+def _dr_fresh_level(config: UedConfig):
+    def fresh_level(gen):
+        return generate_random_level(gen, config.width, config.height, config.max_walls)
+    return fresh_level
+
+
+def _dr_cycle(config: UedConfig):
+    maze = MazeEnv(max_steps=config.max_episode_steps, view_size=config.view_size)
+    env = AutoResetWrapper(maze, _dr_fresh_level(config))
+
+    def cycle(state: RunState, key: rng_mod.Key):
+        observations = [maze.observe(s.inner) for s in state.env_states]
+        traj, env_states, _ = rollout(
+            env, state.params, state.env_states, observations,
+            config.ppo.rollout_steps, key,
+        )
+        adv, targets = compute_gae(traj, config.ppo.gamma, config.ppo.gae_lambda)
+        state, trained = _train_student(config, state, traj, adv, targets)
+        state = replace(
+            state,
+            env_states=env_states,
+            env_steps=state.env_steps + config.ppo.n_envs * traj.n_steps,
+        )
+        return state, {"cycle_type": OP_NEW, **trained, **_episode_metrics(traj)}
+
+    return cycle
+
+
+def _replay_cycle(config: UedConfig):
+    env = AutoReplayWrapper(
+        MazeEnv(max_steps=config.max_episode_steps, view_size=config.view_size)
+    )
+    ops = {OP_NEW: on_new_levels, OP_REPLAY: on_replay_levels, OP_MUTATE: on_mutate_levels}
+    p = config.resolved_replay_prob
+    q = config.resolved_mutation_prob
+    fill_target = config.min_fill_ratio * config.buffer_capacity
+
+    def cycle(state: RunState, key: rng_mod.Key):
+        k_decide, k_op = rng_mod.split(key)
+        if state.buffer.size < fill_target:
+            # Below the fill threshold every cycle generates; the
+            # automaton draw is not consumed.
+            op, node = OP_NEW, NODE_A
+        else:
+            op, node = meta_policy_next(state.node, p, q, rng_mod.generator(k_decide))
+        state, entry = ops[op](config, env, replace(state, node=node), k_op)
+        return state, {**entry, **_buffer_metrics(state.buffer)}
+
+    return cycle
+
+
+def _regret(pro_traj: Trajectory, ant_traj: Trajectory, gamma: float | None):
+    """Per env: best antagonist return minus mean protagonist return, each 0
+    for an env without a completed episode."""
+    pro = episode_returns(pro_traj, gamma)
+    counts = np.bincount(pro.env_ids, minlength=pro_traj.n_envs)
+    pro_mean = np.array(
+        [float(np.mean(r)) if r.size else 0.0
+         for r in np.split(pro.returns, np.cumsum(counts)[:-1])],
+        dtype=np.float64,
+    )
+    return max_episode_discounted_returns(ant_traj, gamma) - pro_mean
+
+
+def _paired_cycle(config: UedConfig):
+    student_env = AutoReplayWrapper(
+        MazeEnv(max_steps=config.max_episode_steps, view_size=config.view_size)
+    )
+    editor_env = MazeEditorEnv(
+        width=config.width, height=config.height, wall_budget=config.wall_budget
+    )
+    adv_ppo = replace(config.ppo, ent_coeff=config.adversary_ent_coeff)
+    n = config.ppo.n_envs
+    canvas = empty_level(config.width, config.height)
+    regret_gamma = config.ppo.gamma if config.discounted_regret else None
+
+    def cycle(state: RunState, key: rng_mod.Key):
+        k_ed, k_pro_roll, k_ant_roll = rng_mod.split(key, 3)
+        lr = _lr_for_cycle(config, state.cycle)
+
+        # Adversary builds one level per env, one edit per step.
+        ed_states, ed_obs = zip(*(editor_env.reset_to_level(canvas, None) for _ in range(n)))
+        ed_traj, ed_states, _ = rollout(
+            editor_env, state.adversary, ed_states, ed_obs,
+            editor_env.episode_steps, k_ed,
+        )
+        levels = [s.level for s in ed_states]
+
+        pro_traj, pro_adv, pro_tgt = rollout_on_levels(
+            config, student_env, state.params, levels, k_pro_roll
+        )
+        ant_traj, ant_adv, ant_tgt = rollout_on_levels(
+            config, student_env, state.antagonist, levels, k_ant_roll
+        )
+        regret = _regret(pro_traj, ant_traj, regret_gamma)
+
+        protagonist, pro_stats = ppo_update(
+            state.params, pro_traj, pro_adv, pro_tgt, config.ppo, lr
+        )
+        antagonist, ant_stats = ppo_update(
+            state.antagonist, ant_traj, ant_adv, ant_tgt, config.ppo, lr
+        )
+
+        # Regret lands as the reward on the adversary's final edit.
+        ed_rewards = ed_traj.rewards.copy()
+        ed_rewards[-1, :] = regret.astype(np.float32)
+        ed_traj = replace(ed_traj, rewards=ed_rewards)
+        ed_adv, ed_tgt = compute_gae(ed_traj, adv_ppo.gamma, adv_ppo.gae_lambda)
+        adversary, adv_stats = ppo_update(
+            state.adversary, ed_traj, ed_adv, ed_tgt, adv_ppo, lr
+        )
+
+        entry = {"cycle_type": "paired", "trained": True, "lr": lr,
+                 "mean_regret": float(regret.mean())}
+        entry.update({f"protagonist_{k}": v for k, v in _train_metrics(pro_stats).items()})
+        entry.update({f"antagonist_{k}": v for k, v in _train_metrics(ant_stats).items()})
+        entry.update({f"adversary_{k}": v for k, v in _train_metrics(adv_stats).items()})
+        entry.update(_episode_metrics(pro_traj))
+        entry.update({f"antagonist_{k}": v for k, v in _episode_metrics(ant_traj).items()})
+        state = replace(
+            state,
+            params=protagonist,
+            antagonist=antagonist,
+            adversary=adversary,
+            updates=state.updates + 3,
+            env_steps=state.env_steps + 2 * n * config.ppo.rollout_steps,
+        )
+        return state, entry
+
+    return cycle
+
+
+# ---------------------------------------------------------------------------
+# Driver
 # ---------------------------------------------------------------------------
 
 def metrics_line(entry: dict) -> str:
     return json.dumps(entry, sort_keys=True, separators=(",", ":"))
-
-
-class _RunWriter:
-    """Streams metrics lines and drops final checkpoints into a directory."""
-
-    def __init__(self, out_dir: str | None):
-        self.out_dir = out_dir
-        self._fh = None
-        if out_dir is not None:
-            os.makedirs(out_dir, exist_ok=True)
-            self._fh = open(os.path.join(out_dir, "metrics.jsonl"), "w", encoding="utf-8", newline="\n")
-
-    def metrics(self, entry: dict) -> None:
-        if self._fh is not None:
-            self._fh.write(metrics_line(entry) + "\n")
-            self._fh.flush()
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def path(self, name: str):
-        return None if self.out_dir is None else os.path.join(self.out_dir, name)
 
 
 @dataclass
@@ -551,9 +641,95 @@ class TrainResult:
     adversary: ActorCriticParams | None = None
 
 
-# ---------------------------------------------------------------------------
-# Training loops
-# ---------------------------------------------------------------------------
+def _master_keys(config: UedConfig, master: rng_mod.Key) -> list:
+    """The run's top-level keys: init keys first, the cycle key ``k_run`` last."""
+    return rng_mod.split(master, {"dr": 3, "paired": 4}.get(config.algorithm, 2))
+
+
+def init_run_state(config: UedConfig, master: rng_mod.Key) -> RunState:
+    """The state before cycle 0: fresh networks, plus the ``dr`` env batch
+    or an empty replay buffer."""
+    keys = _master_keys(config, master)
+    net_cfg = student_net_config(config)
+    params = init_params(rng_mod.generator(keys[0]), net_cfg)
+    if config.algorithm == "dr":
+        fresh_level = _dr_fresh_level(config)
+        env = AutoResetWrapper(
+            MazeEnv(max_steps=config.max_episode_steps, view_size=config.view_size),
+            fresh_level,
+        )
+        env_states = []
+        for k in rng_mod.split(keys[1], config.ppo.n_envs):
+            gen = rng_mod.generator(k)
+            env_states.append(env.reset_to_level(fresh_level(gen), gen)[0])
+        return RunState(params=params, env_states=env_states)
+    if config.algorithm == "paired":
+        return RunState(
+            params=params,
+            antagonist=init_params(rng_mod.generator(keys[1]), net_cfg),
+            adversary=init_params(rng_mod.generator(keys[2]), adversary_net_config(config)),
+        )
+    return RunState(params=params, buffer=new_buffer(config.buffer_capacity), node=NODE_A)
+
+
+def _open_metrics(out_dir: str | None, cycle: int):
+    """``metrics.jsonl`` in ``out_dir``, keeping the lines of cycles up to
+    ``cycle`` (where a resumed run starts) and open to append after them."""
+    if out_dir is None:
+        return None
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, "metrics.jsonl")
+    kept = []
+    if cycle and os.path.exists(path):
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                kept = [line for line in fh if json.loads(line)["cycle"] <= cycle]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise UedError(f"cannot extend {path}: {exc}") from exc
+    fh = open(path, "w", encoding="utf-8", newline="\n")
+    fh.writelines(kept)
+    return fh
+
+
+def _drive(config: UedConfig, master: rng_mod.Key, state: RunState, out_dir,
+           cycle_callback, max_cycles) -> TrainResult:
+    """Run cycles until the step budget is reached, or until ``max_cycles``
+    cycles of this call if that comes first; then write the checkpoint."""
+    k_run = _master_keys(config, master)[-1]
+    cycle = {"dr": _dr_cycle, "paired": _paired_cycle}.get(config.algorithm, _replay_cycle)(config)
+    log = _open_metrics(out_dir, state.cycle)
+    metrics_log = []
+    try:
+        while state.env_steps < config.total_env_steps and (
+            max_cycles is None or len(metrics_log) < max_cycles
+        ):
+            state, entry = cycle(state, rng_mod.fold_in(k_run, state.cycle))
+            state = replace(state, cycle=state.cycle + 1)
+            entry = {
+                "algorithm": config.algorithm,
+                "cycle": state.cycle,
+                "env_steps": state.env_steps,
+                "updates": state.updates,
+                **entry,
+            }
+            metrics_log.append(entry)
+            if log is not None:
+                log.write(metrics_line(entry) + "\n")
+                log.flush()
+            if cycle_callback is not None:
+                cycle_callback(entry, state.params)
+    finally:
+        if log is not None:
+            log.close()
+
+    if out_dir is not None:
+        _save_run(out_dir, config, master, state)
+    return TrainResult(
+        params=state.params, metrics=metrics_log, env_steps=state.env_steps,
+        updates=state.updates, buffer=state.buffer, antagonist=state.antagonist,
+        adversary=state.adversary,
+    )
+
 
 def train(
     config: UedConfig,
@@ -568,274 +744,9 @@ def train(
     that comes first (the budget stays in the config, so a saved run state
     resumes toward the same target).
     """
-    if config.algorithm == "dr":
-        return train_dr(config, seed, out_dir, cycle_callback, max_cycles)
-    if config.algorithm == "paired":
-        return train_paired(config, seed, out_dir, cycle_callback, max_cycles)
-    return train_replay(config, seed, out_dir, cycle_callback, max_cycles)
-
-
-def _base_metrics(config: UedConfig, state_env_steps, cycle, updates) -> dict:
-    return {
-        "algorithm": config.algorithm,
-        "cycle": cycle,
-        "env_steps": state_env_steps,
-        "updates": updates,
-    }
-
-
-def _dr_fresh_level(config: UedConfig):
-    def fresh_level(gen):
-        return generate_random_level(gen, config.width, config.height, config.max_walls)
-    return fresh_level
-
-
-def train_dr(config, seed, out_dir=None, cycle_callback=None, max_cycles=None) -> TrainResult:
     master = rng_mod.key_from_seed(seed)
-    k_init, k_reset, _ = rng_mod.split(master, 3)
-    params = init_params(rng_mod.generator(k_init), student_net_config(config))
-
-    base_env = MazeEnv(max_steps=config.max_episode_steps, view_size=config.view_size)
-    fresh_level = _dr_fresh_level(config)
-    env = AutoResetWrapper(base_env, fresh_level)
-    states = []
-    for k in rng_mod.split(k_reset, config.ppo.n_envs):
-        gen = rng_mod.generator(k)
-        state, _ = env.reset_to_level(fresh_level(gen), gen)
-        states.append(state)
-    return _run_dr_loop(config, master, params, states, 0, 0, 0,
-                        out_dir, cycle_callback, max_cycles)
-
-
-def _run_dr_loop(config, master, params, states, cycle, env_steps, updates,
-                 out_dir, cycle_callback, max_cycles) -> TrainResult:
-    _, _, k_run = rng_mod.split(master, 3)
-    base_env = MazeEnv(max_steps=config.max_episode_steps, view_size=config.view_size)
-    env = AutoResetWrapper(base_env, _dr_fresh_level(config))
-    observations = [base_env.observe(s.inner) for s in states]
-
-    writer = _RunWriter(out_dir)
-    metrics_log = []
-    cycles_done = 0
-    try:
-        while env_steps < config.total_env_steps and (
-            max_cycles is None or cycles_done < max_cycles
-        ):
-            key_c = rng_mod.fold_in(k_run, cycle)
-            traj, states, observations = rollout(
-                env, params, states, observations, config.ppo.rollout_steps, key_c
-            )
-            adv, targets = compute_gae(traj, config.ppo.gamma, config.ppo.gae_lambda)
-            lr = _lr_for_cycle(config, cycle)
-            params, stats = ppo_update(params, traj, adv, targets, config.ppo, lr)
-            env_steps += config.ppo.n_envs * traj.n_steps
-            updates += 1
-            cycle += 1
-            cycles_done += 1
-
-            entry = _base_metrics(config, env_steps, cycle, updates)
-            entry.update(cycle_type=OP_NEW, trained=True, lr=lr)
-            entry.update(_train_metrics(stats))
-            entry.update(_episode_metrics(traj))
-            metrics_log.append(entry)
-            writer.metrics(entry)
-            if cycle_callback is not None:
-                cycle_callback(entry, params)
-    finally:
-        writer.close()
-
-    if out_dir is not None:
-        save_params(params, writer.path("params.bin"))
-        _save_run_state_dr(
-            writer.path("state.json"), config, master, cycle, env_steps,
-            updates, params, states,
-        )
-    return TrainResult(params=params, metrics=metrics_log, env_steps=env_steps, updates=updates)
-
-
-def train_replay(config, seed, out_dir=None, cycle_callback=None, max_cycles=None) -> TrainResult:
-    master = rng_mod.key_from_seed(seed)
-    return _run_replay_loop(config, master, _fresh_replay_state(config, master),
-                            out_dir, cycle_callback, max_cycles)
-
-
-def _fresh_replay_state(config: UedConfig, master: rng_mod.Key) -> ReplayState:
-    k_init, _ = rng_mod.split(master)
-    params = init_params(rng_mod.generator(k_init), student_net_config(config))
-    return ReplayState(params=params, buffer=new_buffer(config.buffer_capacity))
-
-
-def _run_replay_loop(config, master, state: ReplayState, out_dir, cycle_callback,
-                     max_cycles=None):
-    _, k_run = rng_mod.split(master)
-    base_env = MazeEnv(max_steps=config.max_episode_steps, view_size=config.view_size)
-    env = AutoReplayWrapper(base_env)
-    p = config.resolved_replay_prob
-    q = config.resolved_mutation_prob
-    fill_target = config.min_fill_ratio * config.buffer_capacity
-
-    writer = _RunWriter(out_dir)
-    metrics_log = []
-    cycles_done = 0
-    try:
-        while state.env_steps < config.total_env_steps and (
-            max_cycles is None or cycles_done < max_cycles
-        ):
-            key_c = rng_mod.fold_in(k_run, state.cycle)
-            k_decide, k_op = rng_mod.split(key_c)
-            if state.buffer.size < fill_target:
-                # Below the fill threshold every cycle generates; the
-                # automaton draw is not consumed.
-                op, state.node = OP_NEW, NODE_A
-            else:
-                op, state.node = meta_policy_next(
-                    state.node, p, q, rng_mod.generator(k_decide)
-                )
-            if op == OP_NEW:
-                state, entry = on_new_levels(config, env, state, k_op)
-            elif op == OP_REPLAY:
-                state, entry = on_replay_levels(config, env, state, k_op)
-            else:
-                state, entry = on_mutate_levels(config, env, state, k_op)
-            state.cycle += 1
-            cycles_done += 1
-
-            full = _base_metrics(config, state.env_steps, state.cycle, state.updates)
-            full.update(entry)
-            full.update(_buffer_metrics(state.buffer))
-            metrics_log.append(full)
-            writer.metrics(full)
-            if cycle_callback is not None:
-                cycle_callback(full, state.params)
-    finally:
-        writer.close()
-
-    if out_dir is not None:
-        save_params(state.params, writer.path("params.bin"))
-        with open(writer.path("buffer.txt"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(buffer_to_text(state.buffer))
-        _save_run_state_replay(writer.path("state.json"), config, master, state)
-    return TrainResult(
-        params=state.params, metrics=metrics_log, env_steps=state.env_steps,
-        updates=state.updates, buffer=state.buffer,
-    )
-
-
-def train_paired(config, seed, out_dir=None, cycle_callback=None, max_cycles=None) -> TrainResult:
-    master = rng_mod.key_from_seed(seed)
-    k_pro, k_ant, k_adv, _ = rng_mod.split(master, 4)
-    net_cfg = student_net_config(config)
-    protagonist = init_params(rng_mod.generator(k_pro), net_cfg)
-    antagonist = init_params(rng_mod.generator(k_ant), net_cfg)
-    adversary = init_params(rng_mod.generator(k_adv), adversary_net_config(config))
-    return _run_paired_loop(config, master, protagonist, antagonist, adversary,
-                            0, 0, 0, out_dir, cycle_callback, max_cycles)
-
-
-def _run_paired_loop(config, master, protagonist, antagonist, adversary,
-                     cycle, env_steps, updates, out_dir, cycle_callback,
-                     max_cycles=None) -> TrainResult:
-    _, _, _, k_run = rng_mod.split(master, 4)
-    base_env = MazeEnv(max_steps=config.max_episode_steps, view_size=config.view_size)
-    student_env = AutoReplayWrapper(base_env)
-    editor_env = MazeEditorEnv(
-        width=config.width, height=config.height, wall_budget=config.wall_budget
-    )
-    adv_ppo = replace(config.ppo, ent_coeff=config.adversary_ent_coeff)
-    n = config.ppo.n_envs
-    canvas = empty_level(config.width, config.height)
-    regret_gamma = config.ppo.gamma if config.discounted_regret else None
-
-    writer = _RunWriter(out_dir)
-    metrics_log = []
-    cycles_done = 0
-    try:
-        while env_steps < config.total_env_steps and (
-            max_cycles is None or cycles_done < max_cycles
-        ):
-            key_c = rng_mod.fold_in(k_run, cycle)
-            k_ed, k_pro_roll, k_ant_roll = rng_mod.split(key_c, 3)
-            lr = _lr_for_cycle(config, cycle)
-
-            # Adversary builds one level per env, one edit per step.
-            ed_states, ed_obs = [], []
-            for _ in range(n):
-                s, o = editor_env.reset_to_level(canvas, None)
-                ed_states.append(s)
-                ed_obs.append(o)
-            ed_traj, ed_states, _ = rollout(
-                editor_env, adversary, ed_states, ed_obs,
-                editor_env.episode_steps, k_ed,
-            )
-            levels = [s.level for s in ed_states]
-
-            pro_traj, pro_adv, pro_tgt, _ = rollout_on_levels(
-                config, student_env, protagonist, levels, k_pro_roll
-            )
-            ant_traj, ant_adv, ant_tgt, _ = rollout_on_levels(
-                config, student_env, antagonist, levels, k_ant_roll
-            )
-
-            pro_rets = _episode_returns_per_env(pro_traj, regret_gamma)
-            ant_rets = _episode_returns_per_env(ant_traj, regret_gamma)
-            regret = np.array(
-                [
-                    (max(ant_rets[e]) if ant_rets[e] else 0.0)
-                    - (float(np.mean(pro_rets[e])) if pro_rets[e] else 0.0)
-                    for e in range(n)
-                ],
-                dtype=np.float64,
-            )
-
-            protagonist, pro_stats = ppo_update(
-                protagonist, pro_traj, pro_adv, pro_tgt, config.ppo, lr
-            )
-            antagonist, ant_stats = ppo_update(
-                antagonist, ant_traj, ant_adv, ant_tgt, config.ppo, lr
-            )
-            updates += 2
-
-            # Regret lands as the reward on the adversary's final edit.
-            ed_rewards = ed_traj.rewards.copy()
-            ed_rewards[-1, :] = regret.astype(np.float32)
-            ed_traj = replace(ed_traj, rewards=ed_rewards)
-            ed_adv, ed_tgt = compute_gae(ed_traj, adv_ppo.gamma, adv_ppo.gae_lambda)
-            adversary, adv_stats = ppo_update(
-                adversary, ed_traj, ed_adv, ed_tgt, adv_ppo, lr
-            )
-            updates += 1
-
-            env_steps += 2 * n * config.ppo.rollout_steps
-            cycle += 1
-            cycles_done += 1
-
-            entry = _base_metrics(config, env_steps, cycle, updates)
-            entry.update(cycle_type="paired", trained=True, lr=lr)
-            entry.update(mean_regret=float(regret.mean()))
-            entry.update({f"protagonist_{k}": v for k, v in _train_metrics(pro_stats).items()})
-            entry.update({f"antagonist_{k}": v for k, v in _train_metrics(ant_stats).items()})
-            entry.update({f"adversary_{k}": v for k, v in _train_metrics(adv_stats).items()})
-            entry.update(_episode_metrics(pro_traj))
-            entry.update({f"antagonist_{k}": v for k, v in _episode_metrics(ant_traj).items()})
-            metrics_log.append(entry)
-            writer.metrics(entry)
-            if cycle_callback is not None:
-                cycle_callback(entry, protagonist)
-    finally:
-        writer.close()
-
-    if out_dir is not None:
-        save_params(protagonist, writer.path("params.bin"))
-        save_params(antagonist, writer.path("antagonist.bin"))
-        save_params(adversary, writer.path("adversary.bin"))
-        _save_run_state_paired(
-            writer.path("state.json"), config, master, cycle, env_steps,
-            updates, protagonist, antagonist, adversary,
-        )
-    return TrainResult(
-        params=protagonist, metrics=metrics_log, env_steps=env_steps,
-        updates=updates, antagonist=antagonist, adversary=adversary,
-    )
+    return _drive(config, master, init_run_state(config, master), out_dir,
+                  cycle_callback, max_cycles)
 
 
 # ---------------------------------------------------------------------------
@@ -851,23 +762,6 @@ def _b64(params: ActorCriticParams) -> str:
 
 def _unb64(text: str) -> ActorCriticParams:
     return params_from_bytes(base64.b64decode(text.encode("ascii")))
-
-
-def _state_header(config, master, cycle, env_steps, updates) -> dict:
-    return {
-        "version": _STATE_VERSION,
-        "config": ued_config_to_dict(config),
-        "master_key": master,
-        "cycle": cycle,
-        "env_steps": env_steps,
-        "updates": updates,
-    }
-
-
-def _write_state(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-        fh.write("\n")
 
 
 def _maze_state_to_dict(ws: WrappedState) -> dict:
@@ -891,32 +785,38 @@ def _maze_state_from_dict(d: dict) -> WrappedState:
     return WrappedState(inner=inner, level=parse_level(d["level"]))
 
 
-def _save_run_state_dr(path, config, master, cycle, env_steps, updates, params, states):
-    payload = _state_header(config, master, cycle, env_steps, updates)
-    payload["params"] = _b64(params)
-    payload["env_states"] = [_maze_state_to_dict(s) for s in states]
-    _write_state(path, payload)
-
-
-def _save_run_state_replay(path, config, master, state: ReplayState):
-    payload = _state_header(config, master, state.cycle, state.env_steps, state.updates)
-    payload["params"] = _b64(state.params)
-    payload["node"] = state.node
-    payload["buffer"] = buffer_to_text(state.buffer)
-    payload["last_replayed"] = (
-        None if state.last_replayed is None
-        else [format_level(lv) for lv in state.last_replayed]
-    )
-    _write_state(path, payload)
-
-
-def _save_run_state_paired(path, config, master, cycle, env_steps, updates,
-                           protagonist, antagonist, adversary):
-    payload = _state_header(config, master, cycle, env_steps, updates)
-    payload["params"] = _b64(protagonist)
-    payload["antagonist"] = _b64(antagonist)
-    payload["adversary"] = _b64(adversary)
-    _write_state(path, payload)
+def _save_run(out_dir: str, config: UedConfig, master: rng_mod.Key, state: RunState):
+    """Write ``state.json``, which alone resumes the run, and each network
+    (``params.bin``, ``antagonist.bin``, ``adversary.bin``) and the buffer
+    (``buffer.txt``) that the state holds as a file of its own."""
+    payload = {
+        "version": _STATE_VERSION,
+        "config": ued_config_to_dict(config),
+        "master_key": master,
+        "cycle": state.cycle,
+        "env_steps": state.env_steps,
+        "updates": state.updates,
+        "params": _b64(state.params),
+    }
+    save_params(state.params, os.path.join(out_dir, "params.bin"))
+    if state.env_states is not None:
+        payload["env_states"] = [_maze_state_to_dict(s) for s in state.env_states]
+    if state.buffer is not None:
+        save_buffer(state.buffer, os.path.join(out_dir, "buffer.txt"))
+        payload["node"] = state.node
+        payload["buffer"] = buffer_to_text(state.buffer)
+        payload["last_replayed"] = (
+            None if state.last_replayed is None
+            else [format_level(lv) for lv in state.last_replayed]
+        )
+    for name in ("antagonist", "adversary"):
+        net = getattr(state, name)
+        if net is not None:
+            save_params(net, os.path.join(out_dir, f"{name}.bin"))
+            payload[name] = _b64(net)
+    with open(os.path.join(out_dir, "state.json"), "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        fh.write("\n")
 
 
 def load_run_state(path) -> dict:
@@ -938,6 +838,8 @@ def load_run_state(path) -> dict:
         out["buffer"] = buffer_from_text(payload["buffer"])
     if payload.get("last_replayed"):
         out["last_replayed"] = tuple(parse_level(t) for t in payload["last_replayed"])
+    if payload.get("env_states"):
+        out["env_states"] = [_maze_state_from_dict(d) for d in payload["env_states"]]
     return out
 
 
@@ -947,30 +849,10 @@ def resume_run(state_path, out_dir=None, cycle_callback=None,
 
     Every per-cycle key is folded from the stored master key and cycle
     index, so the continuation reproduces an uninterrupted run exactly.
+    Resuming into the run's own directory keeps the metrics lines up to the
+    checkpoint's cycle and appends after them.
     """
     loaded = load_run_state(state_path)
-    config: UedConfig = loaded["config"]
-    master = loaded["master_key"]
-    if config.algorithm == "dr":
-        states = [_maze_state_from_dict(d) for d in loaded["env_states"]]
-        return _run_dr_loop(
-            config, master, loaded["params"], states, loaded["cycle"],
-            loaded["env_steps"], loaded["updates"], out_dir, cycle_callback,
-            max_cycles,
-        )
-    if config.algorithm == "paired":
-        return _run_paired_loop(
-            config, master, loaded["params"], loaded["antagonist"],
-            loaded["adversary"], loaded["cycle"], loaded["env_steps"],
-            loaded["updates"], out_dir, cycle_callback, max_cycles,
-        )
-    state = ReplayState(
-        params=loaded["params"],
-        buffer=loaded["buffer"],
-        node=loaded["node"],
-        cycle=loaded["cycle"],
-        env_steps=loaded["env_steps"],
-        updates=loaded["updates"],
-        last_replayed=loaded.get("last_replayed"),
-    )
-    return _run_replay_loop(config, master, state, out_dir, cycle_callback, max_cycles)
+    state = RunState(**{f.name: loaded.get(f.name) for f in fields(RunState)})
+    return _drive(loaded["config"], loaded["master_key"], state, out_dir,
+                  cycle_callback, max_cycles)

@@ -311,9 +311,9 @@ def test_criterion_07_robust_parameters_frozen_on_new_cycles():
         snaps.append((entry["cycle_type"], params_to_bytes(params)))
 
     res = train(cfg, seed=7, cycle_callback=callback)
-    from ued_forge.ued import _fresh_replay_state
+    from ued_forge.ued import init_run_state
     initial = params_to_bytes(
-        _fresh_replay_state(cfg, R.key_from_seed(7)).params)
+        init_run_state(cfg, R.key_from_seed(7)).params)
 
     kinds = [k for k, _ in snaps]
     frozen = all(
@@ -408,9 +408,9 @@ def test_criterion_08c_paired_smoke():
 # ---------------------------------------------------------------------------
 
 def test_criterion_09_all_algorithms_deterministic():
-    """Each algorithm, same seed, run three times (twice with 1 rollout
-    thread, once with 4): metrics streams and final checkpoints are
-    byte-identical."""
+    """Each algorithm, same seed, run three times (twice with
+    UED_FORGE_THREADS=1, once with 4, which the package ignores): metrics
+    streams and final checkpoints are byte-identical."""
     ppo = PpoConfig(rollout_steps=8, n_envs=4, epochs=1, lr=1e-3)
 
     def run(algorithm, threads):
@@ -442,8 +442,8 @@ def test_criterion_09_all_algorithms_deterministic():
         stable.append(all(r == runs[0] for r in runs[1:]))
     ok = all(stable)
     report(9, ok,
-           "seeded twice plus a 4-thread rerun: metrics and checkpoints "
-           "byte-identical for " + ", ".join(
+           "seeded twice plus a rerun with UED_FORGE_THREADS=4 (ignored): "
+           "metrics and checkpoints byte-identical for " + ", ".join(
                f"{a}={'yes' if s else 'NO'}" for a, s in zip(algorithms, stable)))
 
 

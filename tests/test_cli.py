@@ -92,6 +92,20 @@ def test_train_invalid_value_is_config_error(tmp_path, capsys):
     assert main(["train", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize(
+    "change",
+    [{"width": "a"}, {"ppo": {"n_envs": 0}}, {"ppo": {"gamma": "x"}}],
+)
+def test_train_bad_field_fails_before_training(tmp_path, capsys, change):
+    bad = dict(TINY)
+    for key, value in change.items():
+        bad[key] = dict(TINY[key], **value) if key == "ppo" else value
+    assert main(["train", "--config", write_config(tmp_path, bad),
+                 "--out", str(tmp_path / "run")]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------

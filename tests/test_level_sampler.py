@@ -1,6 +1,8 @@
 """Replay buffer: prioritization weights, insertion, eviction, staleness,
 and the text checkpoint format."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from ued_forge.level_sampler import (
     load_buffer,
     new_buffer,
     sample_levels,
-    sample_replay_decision,
     sampling_weights,
     save_buffer,
     update_batch,
@@ -195,25 +196,6 @@ def test_sample_levels_matches_weights_statistically():
     assert 0.5 * np.abs(emp - w).sum() < 0.02
 
 
-def test_replay_decision_gated_by_fill():
-    buf, _ = filled(R.key_from_seed(19), [0.5, 0.5], capacity=10)
-    cfg = SamplerConfig(replay_prob=1.0, min_fill_ratio=0.5)
-    gen = R.generator(5)
-    before = repr(gen.bit_generator.state)
-    assert sample_replay_decision(buf, cfg, gen) is False
-    assert repr(gen.bit_generator.state) == before  # no draw burned
-    full, _ = filled(R.key_from_seed(20), [0.5] * 10, capacity=10)
-    assert sample_replay_decision(full, cfg, R.generator(6)) is True
-
-
-def test_replay_decision_probability():
-    full, _ = filled(R.key_from_seed(21), [0.5] * 4, capacity=4)
-    cfg = SamplerConfig(replay_prob=0.3, min_fill_ratio=0.5)
-    gen = R.generator(7)
-    hits = sum(sample_replay_decision(full, cfg, gen) for _ in range(20_000))
-    assert abs(hits / 20_000 - 0.3) < 0.01
-
-
 # ---------------------------------------------------------------------------
 # Config validation
 # ---------------------------------------------------------------------------
@@ -225,9 +207,6 @@ def test_replay_decision_probability():
         dict(temperature=-1.0),
         dict(staleness_coeff=-0.1),
         dict(staleness_coeff=1.5),
-        dict(replay_prob=1.5),
-        dict(min_fill_ratio=-0.2),
-        dict(prioritization="softmax"),
     ],
 )
 def test_sampler_config_validation(kwargs):
@@ -305,3 +284,17 @@ def test_buffer_from_text_rejects_malformed(mangle):
     buf = random_buffer(R.key_from_seed(25), 4, 3)
     with pytest.raises(BufferError):
         buffer_from_text(mangle(buffer_to_text(buf)))
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        lambda t: re.sub(r"capacity \S+", "capacity x", t, count=1),
+        lambda t: re.sub(r"score \S+", "score x", t, count=1),
+    ],
+    ids=["capacity_x", "score_x"],
+)
+def test_buffer_from_text_bad_number_is_buffer_error(mangle):
+    text = buffer_to_text(random_buffer(R.key_from_seed(25), 4, 3))
+    with pytest.raises(BufferError):
+        buffer_from_text(mangle(text))

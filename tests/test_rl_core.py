@@ -2,6 +2,9 @@
 differences, GAE against a naive reference, rollouts, Adam, PPO, and the
 binary checkpoint format."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from ued_forge.rl_core import (
     ADAM_BETA1,
     ADAM_BETA2,
     ActorCriticParams,
+    CheckpointError,
     NetConfig,
     PpoConfig,
     Trajectory,
@@ -305,6 +309,42 @@ def test_max_discounted_returns_hand_case():
     assert np.allclose(best, [0.8, 0.0])
 
 
+def _loop_episode_returns(rewards, dones, gamma):
+    """Reference: walk each env column and split it at its done flags."""
+    returns, env_ids, n_incomplete = [], [], 0
+    for e in range(rewards.shape[1]):
+        start = 0
+        for end in np.flatnonzero(dones[:, e]):
+            seg = rewards[start:end + 1, e].astype(np.float64)
+            weights = 1.0 if gamma is None else gamma ** np.arange(seg.size)
+            returns.append(float((seg * weights).sum()))
+            env_ids.append(e)
+            start = end + 1
+        n_incomplete += start < rewards.shape[0]
+    return np.array(returns), np.array(env_ids, dtype=np.int64), n_incomplete
+
+
+@pytest.mark.parametrize("gamma", [None, 0.9])
+def test_episode_returns_match_loop_reference(gamma):
+    gen = np.random.default_rng(7)
+    for _ in range(50):
+        t_len, n = int(gen.integers(1, 30)), int(gen.integers(1, 6))
+        rewards = np.where(gen.random((t_len, n)) < 0.4,
+                           gen.normal(size=(t_len, n)), 0.0).astype(np.float32)
+        dones = gen.random((t_len, n)) < 0.25
+        traj = traj_from_arrays(rewards, np.zeros((t_len, n)), dones, np.zeros(n))
+        stats = episode_returns(traj, gamma)
+        returns, env_ids, n_incomplete = _loop_episode_returns(rewards, dones, gamma)
+        # Summation order differs from the loop's, so allow float64 rounding.
+        assert np.allclose(stats.returns, returns, rtol=1e-12, atol=1e-12)
+        assert stats.env_ids.tolist() == env_ids.tolist()
+        assert stats.n_incomplete == n_incomplete
+        best = max_episode_discounted_returns(traj, gamma)
+        for e in range(n):
+            mine = returns[env_ids == e]
+            assert np.isclose(best[e], mine.max() if mine.size else 0.0, rtol=1e-12, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Rollouts
 # ---------------------------------------------------------------------------
@@ -333,9 +373,9 @@ def fresh_roll_setup(n_envs=4, seed=0):
 def test_rollout_deterministic_and_thread_invariant():
     key = R.key_from_seed(3)
     outs = []
-    for threads in (1, 1, 3):
+    for _ in range(3):
         env, params, states, obs = fresh_roll_setup()
-        traj, _, _ = rollout(env, params, states, obs, 20, key, threads=threads)
+        traj, _, _ = rollout(env, params, states, obs, 20, key)
         outs.append(traj)
     for field in ("images", "extras", "actions", "log_probs", "values",
                   "rewards", "dones", "bootstrap_values"):
@@ -486,13 +526,6 @@ def test_ppo_update_improves_surrogate_reward():
     assert mean_weighted_logp(new_params) > mean_weighted_logp(params)
 
 
-def test_ppo_update_rejects_minibatching():
-    params, traj = rollout_for_update()
-    adv, targets = compute_gae(traj, 0.99, 0.95)
-    with pytest.raises(NotImplementedError):
-        ppo_update(params, traj, adv, targets, PpoConfig(minibatches=4))
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_ppo_update_diverged_raises():
     params, traj = rollout_for_update()
@@ -542,3 +575,27 @@ def test_checkpoint_rejects_corruption():
         params_from_bytes(data[:-4])
     with pytest.raises(ValueError):
         params_from_bytes(data + b"\x00\x00")
+
+
+def _with_header(data: bytes, edit) -> bytes:
+    (head_len,) = struct.unpack("<I", data[8:12])
+    header = json.loads(data[12:12 + head_len])
+    edit(header)
+    head = json.dumps(header).encode()
+    return data[:8] + struct.pack("<I", len(head)) + head + data[12 + head_len:]
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        lambda d: d[:10],
+        lambda d: _with_header(d, lambda h: h.pop("config")),
+        lambda d: _with_header(d, lambda h: h["config"].pop("extra_dim")),
+    ],
+    ids=["short_header", "no_config", "no_extra_dim"],
+)
+def test_params_from_bytes_raises_checkpoint_error(mangle):
+    data = params_to_bytes(make_params(MLP64))
+    with pytest.raises(CheckpointError):
+        params_from_bytes(mangle(data))
+    assert issubclass(CheckpointError, ValueError)

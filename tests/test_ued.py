@@ -11,18 +11,17 @@ from ued_forge import rng as R
 from ued_forge.env_core import AutoReplayWrapper
 from ued_forge.level_sampler import new_buffer
 from ued_forge.maze import MazeEnv
-from ued_forge.rl_core import PpoConfig, init_params, params_to_bytes
+from ued_forge.rl_core import PpoConfig, episode_returns, init_params, params_to_bytes
 from ued_forge.ued import (
     NODE_A,
     NODE_B,
     OP_MUTATE,
     OP_NEW,
     OP_REPLAY,
-    ReplayState,
+    RunState,
     TrainResult,
     UedConfig,
     UedError,
-    _episode_returns_per_env,
     dry_run_env_steps,
     load_run_state,
     meta_policy_next,
@@ -69,6 +68,50 @@ def test_config_validation():
         UedConfig(replay_prob=1.2)
     with pytest.raises(ValueError):
         UedConfig(total_env_steps=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(min_fill_ratio=-0.2),
+        dict(min_fill_ratio=1.5),
+        dict(temperature=0.0),
+        dict(staleness_coeff=1.5),
+        dict(width="a"),
+        dict(discounted_regret=1),
+        dict(replay_prob=True),
+        dict(ppo={"n_envs": 4}),
+    ],
+)
+def test_config_rejects_bad_fields(kwargs):
+    with pytest.raises((TypeError, ValueError)):
+        UedConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(n_envs=0),
+        dict(rollout_steps=0),
+        dict(epochs=0),
+        dict(gamma="x"),
+        dict(gamma=1.5),
+        dict(gae_lambda=-0.1),
+        dict(lr=0.0),
+        dict(clip=float("nan")),
+        dict(ent_coeff=-1e-3),
+        dict(n_envs=4.0),
+        dict(anneal_lr="yes"),
+    ],
+)
+def test_ppo_config_rejects_bad_fields(kwargs):
+    with pytest.raises((TypeError, ValueError)):
+        PpoConfig(**kwargs)
+
+
+def test_config_from_dict_accepts_numbers_for_floats():
+    cfg = ued_config_from_dict({"temperature": 1, "ppo": {"gamma": 1, "lr": 1}})
+    assert cfg.temperature == 1 and cfg.ppo.gamma == 1
 
 
 def test_resolved_probabilities():
@@ -185,11 +228,12 @@ def test_episode_returns_per_env_discounting():
     rewards = np.array([[0.0, 0.3], [1.0, 0.0], [0.5, 0.0]])
     dones = np.array([[False, True], [True, False], [True, False]])
     traj = traj_from_arrays(rewards, np.zeros((3, 2)), dones, np.zeros(2))
-    undisc = _episode_returns_per_env(traj, None)
-    assert undisc == [[1.0, 0.5], [0.3]]
-    disc = _episode_returns_per_env(traj, 0.5)
-    assert np.allclose(disc[0], [0.5, 0.5])
-    assert np.allclose(disc[1], [0.3])
+    undisc = episode_returns(traj)
+    assert undisc.returns.tolist() == [1.0, 0.5, 0.3]
+    assert undisc.env_ids.tolist() == [0, 0, 1]
+    disc = episode_returns(traj, 0.5)
+    assert np.allclose(disc.returns, [0.5, 0.5, 0.3])
+    assert disc.env_ids.tolist() == [0, 0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +245,7 @@ def op_setup(**kw):
     env = AutoReplayWrapper(MazeEnv(max_steps=cfg.max_episode_steps,
                                     view_size=cfg.view_size))
     params = init_params(R.generator(R.key_from_seed(0)), student_net_config(cfg))
-    state = ReplayState(params=params, buffer=new_buffer(cfg.buffer_capacity))
+    state = RunState(params=params, buffer=new_buffer(cfg.buffer_capacity))
     return cfg, env, state
 
 
@@ -378,6 +422,47 @@ def test_resume_matches_uninterrupted(tmp_path, algorithm):
     assert resumed.env_steps == full.env_steps
 
 
+def test_resume_into_same_dir_continues_metrics(tmp_path):
+    cfg = tiny_config(algorithm="accel", total_env_steps=5 * steps_per_cycle(tiny_config()))
+    full, run = tmp_path / "full", tmp_path / "run"
+    train(cfg, seed=5, out_dir=str(full))
+    train(cfg, seed=5, out_dir=str(run), max_cycles=3)
+    early = tmp_path / "state_cycle3.json"
+    early.write_bytes((run / "state.json").read_bytes())
+
+    resume_run(run / "state.json", out_dir=str(run))
+    assert (run / "metrics.jsonl").read_bytes() == (full / "metrics.jsonl").read_bytes()
+    # Lines past the checkpoint's cycle are replaced, not duplicated.
+    resume_run(early, out_dir=str(run))
+    assert (run / "metrics.jsonl").read_bytes() == (full / "metrics.jsonl").read_bytes()
+    for name in ("params.bin", "buffer.txt", "state.json"):
+        assert (run / name).read_bytes() == (full / name).read_bytes()
+
+
+def _with_minibatches(state_path, value, dest):
+    """``state_path`` rewritten with ``ppo.minibatches``, as run states were
+    written while PpoConfig had that field."""
+    payload = json.loads(state_path.read_text())
+    payload["config"]["ppo"]["minibatches"] = value
+    dest.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    return dest
+
+
+def test_old_run_state_with_minibatches_resumes(tmp_path):
+    cfg = tiny_config(algorithm="plr", total_env_steps=5 * steps_per_cycle(tiny_config()))
+    full = train(cfg, seed=4)
+    train(cfg, seed=4, out_dir=str(tmp_path / "part"), max_cycles=3)
+    old = _with_minibatches(tmp_path / "part" / "state.json", 1, tmp_path / "old.json")
+    assert load_run_state(old)["config"] == cfg
+    resumed = resume_run(old)
+    assert run_metrics(resumed) == run_metrics(full)[3:]
+    assert params_to_bytes(resumed.params) == params_to_bytes(full.params)
+
+    bad = _with_minibatches(tmp_path / "part" / "state.json", 4, tmp_path / "bad.json")
+    with pytest.raises(UedError, match="minibatches"):
+        load_run_state(bad)
+
+
 def test_load_run_state_round_trip(tmp_path):
     out = tmp_path / "run"
     cfg = tiny_config(algorithm="accel")
@@ -396,6 +481,7 @@ def test_run_state_rejects_bad_file(tmp_path):
 
 
 def test_thread_env_var_does_not_change_results(tmp_path):
+    # The package reads no UED_FORGE_THREADS; setting it must change nothing.
     cfg = tiny_config(algorithm="plr")
     old = os.environ.get("UED_FORGE_THREADS")
     try:
