@@ -20,6 +20,9 @@ the returned ``StepResult`` carries the *terminal* reward and ``done=True``
 together with the *post-reset* state and observation, so no terminal reward
 is ever lost inside a fixed-length rollout and value bootstrapping can key
 off the done flag alone.
+
+An env may also offer an array form of many states (``batch``), which
+rollouts step as a whole; both wrappers pass their inner env's through.
 """
 
 from __future__ import annotations
@@ -72,6 +75,20 @@ class UnderspecifiedEnv(ABC):
         """
         raise NotImplementedError
 
+    def batch(self, states: list):
+        """Array form of ``states`` for stepping them together, or None (the
+        default) when the env has none. Library plumbing like
+        :meth:`encode_observation`. A batch holds one row per state and has:
+
+        * ``encode() -> (images, extras)``: every row's encoded observation;
+        * ``step(actions) -> mask``: applies one action per row, except on
+          the rows in the returned mask, whose episode that action ends;
+          those stay as they were, for the caller to step with :meth:`step`;
+        * ``state(e)``, ``set_state(e, state, observation)`` and
+          ``observation(e)`` to read and replace row ``e``.
+        """
+        return None
+
 
 @dataclass(frozen=True)
 class WrappedState:
@@ -81,11 +98,29 @@ class WrappedState:
     level: Any
 
 
-class AutoReplayWrapper(UnderspecifiedEnv):
-    """On episode end, immediately reset to the previously played level."""
+class _WrappedBatch:
+    """Batch form of a level-resetting wrapper: the inner env's batch plus
+    each row's level."""
 
-    def __init__(self, env: UnderspecifiedEnv):
-        self.env = env
+    def __init__(self, inner, levels: list):
+        self.inner = inner
+        self.levels = levels
+        self.encode = inner.encode
+        self.step = inner.step
+        self.observation = inner.observation
+
+    def state(self, e: int) -> WrappedState:
+        return WrappedState(inner=self.inner.state(e), level=self.levels[e])
+
+    def set_state(self, e: int, state: WrappedState, observation=None) -> None:
+        self.inner.set_state(e, state.inner, observation)
+        self.levels[e] = state.level
+
+
+class _LevelResetWrapper(UnderspecifiedEnv):
+    """What both auto-resetting wrappers share; each defines its own step."""
+
+    env: UnderspecifiedEnv
 
     @property
     def num_actions(self) -> int:
@@ -94,6 +129,20 @@ class AutoReplayWrapper(UnderspecifiedEnv):
     def reset_to_level(self, level, rng):
         state, obs = self.env.reset_to_level(level, rng)
         return WrappedState(inner=state, level=level), obs
+
+    def encode_observation(self, obs):
+        return self.env.encode_observation(obs)
+
+    def batch(self, states):
+        inner = self.env.batch([s.inner for s in states])
+        return None if inner is None else _WrappedBatch(inner, [s.level for s in states])
+
+
+class AutoReplayWrapper(_LevelResetWrapper):
+    """On episode end, immediately reset to the previously played level."""
+
+    def __init__(self, env: UnderspecifiedEnv):
+        self.env = env
 
     def step(self, state: WrappedState, action: int, rng: np.random.Generator):
         inner_res = self.env.step(state.inner, action, rng)
@@ -112,11 +161,8 @@ class AutoReplayWrapper(UnderspecifiedEnv):
             True,
         )
 
-    def encode_observation(self, obs):
-        return self.env.encode_observation(obs)
 
-
-class AutoResetWrapper(UnderspecifiedEnv):
+class AutoResetWrapper(_LevelResetWrapper):
     """On episode end, reset to a fresh level drawn from ``level_source``."""
 
     def __init__(
@@ -126,14 +172,6 @@ class AutoResetWrapper(UnderspecifiedEnv):
     ):
         self.env = env
         self.level_source = level_source
-
-    @property
-    def num_actions(self) -> int:
-        return self.env.num_actions
-
-    def reset_to_level(self, level, rng):
-        state, obs = self.env.reset_to_level(level, rng)
-        return WrappedState(inner=state, level=level), obs
 
     def step(self, state: WrappedState, action: int, rng: np.random.Generator):
         inner_res = self.env.step(state.inner, action, rng)
@@ -152,6 +190,3 @@ class AutoResetWrapper(UnderspecifiedEnv):
             inner_res.reward,
             True,
         )
-
-    def encode_observation(self, obs):
-        return self.env.encode_observation(obs)

@@ -20,7 +20,15 @@ Observations are agent-centric: a ``view_size x view_size`` one-hot window
 (channels: empty / wall-or-out-of-bounds / goal) rotated so the facing
 direction points up, with the agent on the middle column of the rear row,
 plus the absolute direction. This is a self-contained stand-in for the
-classic gridworld encoding; exactly one channel is active per cell.
+classic gridworld encoding; exactly one channel is active per cell. A view
+is one gather from the level's class grid, which is framed by enough wall
+cells that no read needs a bounds check.
+
+:class:`MazeBatch` is the array form of :class:`MazeEnv` that rollouts step:
+N episodes as flat arrays (canvas, agent cell, direction, timestep, goal),
+observed by one gather and advanced by whole-array turns, moves and
+timeouts. An action that ends an episode leaves its row as it was, for
+:meth:`MazeEnv.step` (through any wrapper) to finish and reset.
 
 Also here: uniform level generation, atomic mutation, a breadth-first
 shortest-path field (the oracle used for solvability and greedy optimal
@@ -38,7 +46,7 @@ blank line (UTF-8, LF).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -85,6 +93,8 @@ class MazeLevel:
     agent_pos: tuple[int, int]
     agent_dir: int
     goal_pos: tuple[int, int]
+    # Padded class grids by border width, built on first observation.
+    _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.walls.setflags(write=False)
@@ -144,19 +154,38 @@ class MazeObservation:
 
 
 @lru_cache(maxsize=None)
-def _view_offsets(view_size: int, direction: int) -> tuple[np.ndarray, np.ndarray]:
-    # View row 0 is farthest ahead; the agent sits at (V-1, V//2).
+def _view_offsets(view_size: int, row_len: int) -> np.ndarray:
+    """(4, V, V) offsets from the agent's cell to each view cell, one table
+    per facing direction, in a row-major grid whose rows hold ``row_len``
+    cells. View row 0 is farthest ahead; the agent sits at (V-1, V//2)."""
     v = view_size
     vr, vc = np.mgrid[0:v, 0:v]
     fwd_steps = (v - 1) - vr
     right_steps = vc - v // 2
-    fr, fc = _FORWARD[direction]
-    rr, rc = _FORWARD[(direction + 1) % 4]
-    drow = fwd_steps * fr + right_steps * rr
-    dcol = fwd_steps * fc + right_steps * rc
-    drow.setflags(write=False)
-    dcol.setflags(write=False)
-    return drow, dcol
+    tables = []
+    for direction in range(4):
+        fr, fc = _FORWARD[direction]
+        rr, rc = _FORWARD[(direction + 1) % 4]
+        drow = fwd_steps * fr + right_steps * rr
+        dcol = fwd_steps * fc + right_steps * rc
+        tables.append(drow * row_len + dcol)
+    table = np.stack(tables)
+    table.setflags(write=False)
+    return table
+
+
+def _class_grid(level: MazeLevel, border: int) -> np.ndarray:
+    """``level`` as observation classes (``CH_*``), framed by ``border``
+    wall cells on every side; cached on the level."""
+    grid = level._grids.get(border)
+    if grid is None:
+        b = border
+        grid = np.full((level.height + 2 * b, level.width + 2 * b), CH_WALL, dtype=np.uint8)
+        grid[b:-b, b:-b] = np.where(level.walls, CH_WALL, CH_EMPTY)
+        grid[level.goal_pos[0] + b, level.goal_pos[1] + b] = CH_GOAL
+        grid.setflags(write=False)
+        level._grids[border] = grid
+    return grid
 
 
 class MazeEnv(UnderspecifiedEnv):
@@ -172,6 +201,8 @@ class MazeEnv(UnderspecifiedEnv):
             raise ValueError("view_size must be odd and positive")
         self.max_steps = max_steps
         self.view_size = view_size
+        # Wide enough for the view and for a forward move off the level.
+        self.border = max(view_size - 1, 1)
 
     @property
     def num_actions(self) -> int:
@@ -214,20 +245,110 @@ class MazeEnv(UnderspecifiedEnv):
         return StepResult(new_state, self.observe(new_state), reward, done)
 
     def observe(self, state: MazeState) -> MazeObservation:
-        level = state.level
-        drow, dcol = _view_offsets(self.view_size, state.agent_dir)
-        rows = state.agent_pos[0] + drow
-        cols = state.agent_pos[1] + dcol
-        inb = (rows >= 0) & (rows < level.height) & (cols >= 0) & (cols < level.width)
-        rr = np.clip(rows, 0, level.height - 1)
-        cc = np.clip(cols, 0, level.width - 1)
-        cls = np.where(~inb | level.walls[rr, cc], CH_WALL, CH_EMPTY)
-        gr, gc = level.goal_pos
-        cls = np.where(inb & (rows == gr) & (cols == gc), CH_GOAL, cls)
-        return MazeObservation(view=_EYE3[cls], direction=state.agent_dir)
+        b = self.border
+        grid = _class_grid(state.level, b)
+        row_len = grid.shape[1]
+        r, c = state.agent_pos
+        view = _view_offsets(self.view_size, row_len)[state.agent_dir]
+        cls = np.take(grid, (r + b) * row_len + c + b + view)
+        return MazeObservation(view=np.take(_EYE3, cls, axis=0), direction=state.agent_dir)
 
     def encode_observation(self, obs: MazeObservation):
         return obs.view, _EYE4[obs.direction]
+
+    def batch(self, states) -> MazeBatch:
+        return MazeBatch(self, states)
+
+
+class MazeBatch:
+    """Episodes of one :class:`MazeEnv` stepped together as arrays.
+
+    Row ``e`` holds one episode: its level's padded class grid in row ``e``
+    of the wall canvas ``cells`` (N, rows * row_len), sized to the largest
+    level, and the agent's cell (``pos``), direction (``dir``), timestep
+    (``t``) and goal cell (``goal``) as flat indices into that row. A view
+    or a forward move reads at most ``env.border`` cells off the level, so
+    every read stays inside the level's own padded grid: it needs no bounds
+    check, and cells a larger level left past that grid are never read.
+    See :meth:`UnderspecifiedEnv.batch` for the protocol.
+    """
+
+    def __init__(self, env: MazeEnv, states):
+        self.env = env
+        self._load(list(states))
+
+    def _load(self, states: list) -> None:
+        grids = [_class_grid(s.level, self.env.border) for s in states]
+        self.rows = max((g.shape[0] for g in grids), default=0)
+        self.row_len = max((g.shape[1] for g in grids), default=0)
+        n = len(states)
+        self.cells = np.full((n, self.rows * self.row_len), CH_WALL, dtype=np.uint8)
+        self._base = np.arange(n) * self.rows * self.row_len
+        self._view = _view_offsets(self.env.view_size, self.row_len)
+        self._ahead = np.array([-self.row_len, 1, self.row_len, -1])
+        self.levels = [None] * n
+        self.pos = np.zeros(n, dtype=np.intp)
+        self.dir = np.zeros(n, dtype=np.intp)
+        self.t = np.zeros(n, dtype=np.intp)
+        self.goal = np.zeros(n, dtype=np.intp)
+        for e, state in enumerate(states):
+            self.set_state(e, state)
+
+    def _cell(self, rc: tuple[int, int]) -> int:
+        b = self.env.border
+        return (rc[0] + b) * self.row_len + rc[1] + b
+
+    def encode(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every row's observation as (images (N, V, V, 3), extras (N, 4))."""
+        idx = np.take(self._view, self.dir, axis=0)
+        idx += (self._base + self.pos)[:, None, None]
+        cls = np.take(self.cells, idx)  # indexes the flattened canvas
+        return np.take(_EYE3, cls, axis=0), np.take(_EYE4, self.dir, axis=0)
+
+    def step(self, actions: np.ndarray) -> np.ndarray:
+        """Apply one action per row. Returns the mask of rows whose episode
+        this action ends (goal reached or time up), which are left as they
+        were; rows already complete or given an invalid action are in it
+        too, so that :meth:`MazeEnv.step` rejects them."""
+        actions = np.asarray(actions)
+        pos, d = self.pos, self.dir
+        ahead = pos + self._ahead[d]
+        free = np.take(self.cells, self._base + ahead) != CH_WALL
+        new_pos = np.where((actions == A_FORWARD) & free, ahead, pos)
+        t = self.t + 1
+        ends = ((new_pos == self.goal) | (pos == self.goal) | (t >= self.env.max_steps)
+                | (actions < 0) | (actions > A_FORWARD))
+        live = ~ends
+        self.pos = np.where(live, new_pos, pos)
+        self.dir = np.where(live, (d + (actions == A_RIGHT) - (actions == A_LEFT)) % 4, d)
+        self.t = np.where(live, t, self.t)
+        return ends
+
+    def state(self, e: int) -> MazeState:
+        b = self.env.border
+        r, c = divmod(int(self.pos[e]), self.row_len)
+        return MazeState(self.levels[e], (r - b, c - b), int(self.dir[e]), int(self.t[e]))
+
+    def set_state(self, e: int, state: MazeState, observation=None) -> None:
+        """Load ``state`` into row ``e``; the observation is recomputed from
+        the arrays, so ``observation`` is not needed."""
+        level = state.level
+        if level is not self.levels[e]:
+            grid = _class_grid(level, self.env.border)
+            h, w = grid.shape
+            if h > self.rows or w > self.row_len:
+                states = [self.state(i) for i in range(len(self.levels))]
+                states[e] = state
+                return self._load(states)
+            self.cells[e].reshape(self.rows, self.row_len)[:h, :w] = grid
+            self.levels[e] = level
+            self.goal[e] = self._cell(level.goal_pos)
+        self.pos[e] = self._cell(state.agent_pos)
+        self.dir[e] = state.agent_dir
+        self.t[e] = state.timestep
+
+    def observation(self, e: int) -> MazeObservation:
+        return self.env.observe(self.state(e))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,13 @@ instantiate with ``dtype="float64"`` for high-precision gradient checking.
 
 Rollouts step a batch of environments for a fixed number of steps, sampling
 actions from the policy. Each environment owns an independent random stream
-derived by key splitting, so a trajectory depends only on its key.
+derived by key splitting, so a trajectory depends only on its key. One loop
+serves every env: each step encodes all observations, runs one forward pass,
+samples every action at once by inverse CDF (one uniform per env) and
+advances the env's array form (:meth:`UnderspecifiedEnv.batch`). The rows
+whose episode ends, and every row of an env without an array form, step
+through the env's own ``step``, so auto-resetting wrappers still pay the
+terminal reward and draw the next level from that env's stream.
 """
 
 from __future__ import annotations
@@ -394,6 +400,38 @@ def max_episode_discounted_returns(traj: Trajectory, gamma: float | None) -> np.
 # Rollout collection
 # ---------------------------------------------------------------------------
 
+class _EnvRows:
+    """The batch protocol of :meth:`UnderspecifiedEnv.batch` for an env
+    without a batch form: every row steps through ``env.step``."""
+
+    def __init__(self, env: UnderspecifiedEnv, states, observations, cfg: NetConfig):
+        self.env = env
+        self.states = list(states)
+        self.observations = list(observations)
+        self.cfg = cfg
+
+    def encode(self):
+        n = len(self.states)
+        img = np.zeros((n,) + tuple(self.cfg.image_shape), dtype=np.float32)
+        ext = np.zeros((n, self.cfg.extra_dim), dtype=np.float32)
+        for e, obs in enumerate(self.observations):
+            img[e], ext[e] = self.env.encode_observation(obs)
+        return img, ext
+
+    def step(self, actions):
+        return np.ones(len(self.states), dtype=np.bool_)
+
+    def state(self, e):
+        return self.states[e]
+
+    def set_state(self, e, state, observation):
+        self.states[e] = state
+        self.observations[e] = observation
+
+    def observation(self, e):
+        return self.observations[e]
+
+
 def rollout(
     env: UnderspecifiedEnv,
     params: ActorCriticParams,
@@ -405,55 +443,49 @@ def rollout(
     """Step N envs for ``n_steps``, sampling actions from the policy.
 
     Returns (Trajectory, final states, final observations). Each env consumes
-    its own split of ``key``.
+    its own split of ``key``: one uniform per step for its action, then
+    whatever ``env.step`` draws.
     """
     n = len(states)
     cfg = params.config
-    states = list(states)
-    observations = list(observations)
     gens = [rng_mod.generator(k) for k in rng_mod.split(key, n)]
+    batch = env.batch(states)
+    if batch is None:
+        batch = _EnvRows(env, states, observations, cfg)
 
-    img_shape = tuple(cfg.image_shape)
-    images = np.zeros((n_steps, n) + img_shape, dtype=np.float32)
+    images = np.zeros((n_steps, n) + tuple(cfg.image_shape), dtype=np.float32)
     extras = np.zeros((n_steps, n, cfg.extra_dim), dtype=np.float32)
     actions = np.zeros((n_steps, n), dtype=np.int64)
     log_probs = np.zeros((n_steps, n), dtype=np.float64)
     values = np.zeros((n_steps, n), dtype=np.float64)
     rewards = np.zeros((n_steps, n), dtype=np.float32)
     dones = np.zeros((n_steps, n), dtype=np.bool_)
-
-    def encode_batch():
-        img = np.zeros((n,) + img_shape, dtype=np.float32)
-        ext = np.zeros((n, cfg.extra_dim), dtype=np.float32)
-        for e in range(n):
-            im, ex = env.encode_observation(observations[e])
-            img[e] = im
-            ext[e] = ex
-        return img, ext
+    rows = np.arange(n)
 
     for t in range(n_steps):
-        img, ext = encode_batch()
+        img, ext = batch.encode()
         images[t] = img
         extras[t] = ext
         logits, vals = forward(params, img, ext)
         values[t] = vals
         logp = log_softmax(logits.astype(np.float64))
-        for e in range(n):
-            u = gens[e].random()
-            cdf = np.cumsum(np.exp(logp[e]))
-            a = int(np.searchsorted(cdf, u * cdf[-1], side="right"))
-            a = min(a, logp.shape[1] - 1)
-            actions[t, e] = a
-            log_probs[t, e] = logp[e, a]
-            res = env.step(states[e], a, gens[e])
-            states[e] = res.state
-            observations[e] = res.observation
+        # Inverse-CDF sampling: the action is the number of cumulative
+        # probabilities at or below u times their total.
+        u = np.array([g.random() for g in gens])
+        cdf = np.cumsum(np.exp(logp), axis=1)
+        a = np.minimum((cdf <= (u * cdf[:, -1])[:, None]).sum(axis=1), logp.shape[1] - 1)
+        actions[t] = a
+        log_probs[t] = logp[rows, a]
+        # Rows the batch did not advance (episode ends, and every row of an
+        # env without a batch form) step through the env itself.
+        for e in np.flatnonzero(batch.step(a)):
+            res = env.step(batch.state(e), int(a[e]), gens[e])
+            batch.set_state(e, res.state, res.observation)
             rewards[t, e] = res.reward
             dones[t, e] = res.done
 
     if n_steps > 0 or n > 0:
-        img, ext = encode_batch()
-        _, bootstrap = forward(params, img, ext)
+        _, bootstrap = forward(params, *batch.encode())
     else:
         bootstrap = np.zeros(0)
     traj = Trajectory(
@@ -466,7 +498,7 @@ def rollout(
         dones=dones,
         bootstrap_values=np.asarray(bootstrap, dtype=np.float64),
     )
-    return traj, states, observations
+    return traj, [batch.state(e) for e in rows], [batch.observation(e) for e in rows]
 
 
 # ---------------------------------------------------------------------------

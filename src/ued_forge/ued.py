@@ -62,6 +62,7 @@ from .level_sampler import (
     update_batch,
 )
 from .maze import (
+    LevelError,
     MazeEditorEnv,
     MazeEnv,
     MazeLevel,
@@ -71,6 +72,7 @@ from .maze import (
     generate_random_level,
     mutate_level,
     parse_level,
+    validate_level,
 )
 from .rl_core import (
     ActorCriticParams,
@@ -151,6 +153,16 @@ class UedConfig:
             raise ValueError("buffer_capacity must be positive")
         if self.n_edits < 1:
             raise ValueError("n_edits must be at least 1")
+        if self.width < 1 or self.height < 1:
+            raise ValueError("width and height must be at least 1")
+        if not 0 <= self.max_walls < self.width * self.height - 2:
+            raise ValueError(f"max_walls must be in [0, {self.width * self.height - 2})")
+        if self.view_size < 1 or self.view_size % 2 == 0:
+            raise ValueError("view_size must be odd and at least 1")
+        if self.max_episode_steps < 1:
+            raise ValueError("max_episode_steps must be at least 1")
+        if self.wall_budget < 0:
+            raise ValueError("wall_budget must be non-negative")
         for name in ("replay_prob", "mutation_prob", "min_fill_ratio", "staleness_coeff"):
             p = getattr(self, name)
             if p is not None and not 0.0 <= p <= 1.0:
@@ -775,14 +787,25 @@ def _maze_state_to_dict(ws: WrappedState) -> dict:
     }
 
 
-def _maze_state_from_dict(d: dict) -> WrappedState:
-    inner = MazeState(
-        level=parse_level(d["inner_level"]),
-        agent_pos=tuple(d["agent_pos"]),
-        agent_dir=d["agent_dir"],
-        timestep=d["timestep"],
-    )
-    return WrappedState(inner=inner, level=parse_level(d["level"]))
+def _maze_state_from_dict(d: dict, config: UedConfig) -> WrappedState:
+    """One ``dr`` env state, checked against ``config``: both levels have its
+    size, and the agent stands on a floor cell other than the goal, facing
+    0..3, before the time limit."""
+    level, inner_level = parse_level(d["level"]), parse_level(d["inner_level"])
+    for lv in (level, inner_level):
+        if (lv.width, lv.height) != (config.width, config.height):
+            raise UedError(f"env state level is {lv.width}x{lv.height}, "
+                           f"config is {config.width}x{config.height}")
+    pos, direction, t = d["agent_pos"], d["agent_dir"], d["timestep"]
+    if not (isinstance(pos, list) and len(pos) == 2 and all(
+            isinstance(v, int) and not isinstance(v, bool) for v in (*pos, direction, t))):
+        raise UedError(f"env state needs integer agent_pos, agent_dir, timestep: {d!r}")
+    if not 0 <= t < config.max_episode_steps:
+        raise UedError(f"env state timestep {t} outside [0, {config.max_episode_steps})")
+    pos = tuple(pos)
+    # The agent where the state puts it must still make a valid level.
+    validate_level(replace(inner_level, agent_pos=pos, agent_dir=direction))
+    return WrappedState(inner=MazeState(inner_level, pos, direction, t), level=level)
 
 
 def _save_run(out_dir: str, config: UedConfig, master: rng_mod.Key, state: RunState):
@@ -822,7 +845,12 @@ def _save_run(out_dir: str, config: UedConfig, master: rng_mod.Key, state: RunSt
 def load_run_state(path) -> dict:
     """Parsed run-state checkpoint with params decoded and config rebuilt."""
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise UedError(f"run state is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise UedError("run state must be a JSON object")
     if payload.get("version") != _STATE_VERSION:
         raise UedError(f"unsupported run state version {payload.get('version')}")
     for required in ("config", "params", "master_key", "cycle", "env_steps", "updates"):
@@ -838,8 +866,15 @@ def load_run_state(path) -> dict:
         out["buffer"] = buffer_from_text(payload["buffer"])
     if payload.get("last_replayed"):
         out["last_replayed"] = tuple(parse_level(t) for t in payload["last_replayed"])
-    if payload.get("env_states"):
-        out["env_states"] = [_maze_state_from_dict(d) for d in payload["env_states"]]
+    config = out["config"]
+    if "env_states" in payload or config.algorithm == "dr":
+        try:
+            out["env_states"] = [_maze_state_from_dict(d, config) for d in payload["env_states"]]
+        except (KeyError, TypeError, LevelError) as exc:
+            raise UedError(f"bad env state: {exc}") from exc
+        if len(out["env_states"]) != config.ppo.n_envs:
+            raise UedError(f"run state has {len(out['env_states'])} env states, "
+                           f"config has n_envs {config.ppo.n_envs}")
     return out
 
 

@@ -94,7 +94,9 @@ def test_train_invalid_value_is_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "change",
-    [{"width": "a"}, {"ppo": {"n_envs": 0}}, {"ppo": {"gamma": "x"}}],
+    [{"width": "a"}, {"ppo": {"n_envs": 0}}, {"ppo": {"gamma": "x"}},
+     {"width": 0}, {"view_size": 4}, {"max_walls": -3}, {"max_episode_steps": 0},
+     {"algorithm": "paired", "wall_budget": -1}],
 )
 def test_train_bad_field_fails_before_training(tmp_path, capsys, change):
     bad = dict(TINY)

@@ -1,0 +1,173 @@
+"""The array form of the maze env against the per-env reference: MazeBatch
+rows against MazeEnv.step/observe, and rollouts through the batch against
+rollouts of the same envs stepped one by one."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ued_forge import rng as R
+from ued_forge.env_core import (
+    AutoReplayWrapper,
+    AutoResetWrapper,
+    EnvError,
+    UnderspecifiedEnv,
+)
+from ued_forge.maze import (
+    A_FORWARD,
+    A_LEFT,
+    MazeEnv,
+    MazeLevel,
+    generate_random_level,
+    parse_level,
+)
+from ued_forge.rl_core import NetConfig, init_params, rollout
+from test_maze import reference_view
+
+
+@st.composite
+def levels(draw, max_side=7):
+    """Any valid level up to ``max_side`` a side, 1-row and 1-column ones
+    included, with walls anywhere but under the agent and the goal."""
+    width = draw(st.integers(1, max_side))
+    height = draw(st.integers(2 if width == 1 else 1, max_side))
+    n = width * height
+    agent, goal = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    walls = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    walls[[agent, goal]] = False
+    return MazeLevel(width, height, walls.reshape(height, width), divmod(agent, width),
+                     draw(st.integers(0, 3)), divmod(goal, width))
+
+
+def assert_rows_match(batch, env, states):
+    images, extras = batch.encode()
+    assert images.shape[0] == extras.shape[0] == len(states)
+    for e, state in enumerate(states):
+        assert batch.state(e) == state
+        obs = env.observe(state)
+        expected = reference_view(state.level, state.agent_pos, state.agent_dir, env.view_size)
+        assert np.array_equal(obs.view, expected)
+        assert np.array_equal(images[e], obs.view)
+        assert np.array_equal(extras[e], np.eye(4, dtype=np.float32)[state.agent_dir])
+        assert np.array_equal(batch.observation(e).view, obs.view)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    start=st.lists(levels(), min_size=1, max_size=4),
+    resets=st.lists(levels(max_side=9), min_size=1, max_size=3),
+    view_size=st.sampled_from([1, 3, 5, 7]),
+    max_steps=st.integers(1, 8),
+    data=st.data(),
+)
+def test_batch_rows_match_env_step(start, resets, view_size, max_steps, data):
+    env = MazeEnv(max_steps=max_steps, view_size=view_size)
+    states = [env.reset_to_level(level)[0] for level in start]
+    batch = env.batch(states)
+    n_resets = 0
+    for _ in range(data.draw(st.integers(1, 20))):
+        assert_rows_match(batch, env, states)
+        actions = np.array(data.draw(st.lists(st.integers(0, 2), min_size=len(states),
+                                              max_size=len(states))))
+        ends = batch.step(actions)
+        for e, state in enumerate(states):
+            res = env.step(state, int(actions[e]))
+            assert ends[e] == res.done
+            if not res.done:
+                states[e] = res.state
+                continue
+            # An ended row is left as it was; the caller replaces it.
+            assert batch.state(e) == state
+            states[e], obs = env.reset_to_level(resets[n_resets % len(resets)])
+            n_resets += 1
+            batch.set_state(e, states[e], obs)
+    assert_rows_match(batch, env, states)
+
+
+def test_batch_marks_complete_rows_and_bad_actions():
+    env = MazeEnv(max_steps=5, view_size=3)
+    start = env.reset_to_level(parse_level(">G.\n"))[0]
+    done = env.step(start, A_FORWARD).state  # on the goal, facing a free cell
+    batch = env.batch([start, done, start])
+    assert batch.step(np.array([A_LEFT, A_FORWARD, 3])).tolist() == [False, True, True]
+
+
+class PerEnv(UnderspecifiedEnv):
+    """``env`` without its batch form: rollouts step it env by env."""
+
+    def __init__(self, env):
+        self.env = env
+
+    @property
+    def num_actions(self):
+        return self.env.num_actions
+
+    def reset_to_level(self, level, rng):
+        return self.env.reset_to_level(level, rng)
+
+    def step(self, state, action, rng):
+        return self.env.step(state, action, rng)
+
+    def encode_observation(self, obs):
+        return self.env.encode_observation(obs)
+
+
+def mixed_size_level(gen):
+    width, height = (int(v) for v in gen.integers(2, 9, size=2))
+    return generate_random_level(gen, width, height, max_walls=width * height // 3)
+
+
+def rollout_both_ways(env, levels, seed, n_steps=60):
+    """The same rollout through ``env``'s batch and through ``PerEnv(env)``."""
+    cfg = NetConfig(image_shape=(env.env.view_size,) * 2 + (3,), extra_dim=4, n_actions=3,
+                    hidden=8)
+    params = init_params(R.generator(R.key_from_seed(seed)), cfg)
+    outs = []
+    for stepped in (env, PerEnv(env)):
+        states, observations = zip(*(
+            stepped.reset_to_level(level, R.generator(k))
+            for level, k in zip(levels, R.split(R.key_from_seed(seed + 100), len(levels)))
+        ))
+        outs.append(rollout(stepped, params, states, observations, n_steps,
+                            R.key_from_seed(seed + 200)))
+    return outs
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("wrapper", ["reset", "replay"])
+def test_rollout_through_batch_matches_per_env(seed, wrapper):
+    maze = MazeEnv(max_steps=9, view_size=[3, 5, 1][seed])
+    env = (AutoResetWrapper(maze, mixed_size_level) if wrapper == "reset"
+           else AutoReplayWrapper(maze))
+    gen = R.generator(R.key_from_seed(seed + 300))
+    levels = [mixed_size_level(gen) for _ in range(6)]
+    (batched, b_states, b_obs), (single, s_states, s_obs) = rollout_both_ways(env, levels, seed)
+    for field in ("images", "extras", "actions", "log_probs", "values", "rewards", "dones",
+                  "bootstrap_values"):
+        assert np.array_equal(getattr(batched, field), getattr(single, field)), field
+    assert batched.dones.sum() > len(levels)  # several episode ends per env
+    assert b_states == s_states
+    for a, b in zip(b_obs, s_obs):
+        assert np.array_equal(a.view, b.view) and a.direction == b.direction
+
+
+def test_rollout_of_no_envs_is_empty():
+    env = AutoReplayWrapper(MazeEnv(view_size=3))
+    cfg = NetConfig(image_shape=(3, 3, 3), extra_dim=4, n_actions=3, hidden=8)
+    params = init_params(R.generator(R.key_from_seed(0)), cfg)
+    for stepped in (env, PerEnv(env)):
+        traj, states, observations = rollout(stepped, params, [], [], 0, R.key_from_seed(1))
+        assert traj.images.shape == (0, 0, 3, 3, 3) and traj.bootstrap_values.shape == (0,)
+        assert states == [] and observations == []
+
+
+def test_rollout_rejects_stepping_a_complete_episode():
+    # Without a wrapper nothing resets an ended episode; its next step fails.
+    env = MazeEnv(max_steps=2, view_size=3)
+    level = generate_random_level(R.generator(R.key_from_seed(5)), 5, 5, 3)
+    cfg = NetConfig(image_shape=(3, 3, 3), extra_dim=4, n_actions=3, hidden=8)
+    params = init_params(R.generator(R.key_from_seed(0)), cfg)
+    state, obs = env.reset_to_level(level)
+    with pytest.raises(EnvError, match="already complete"):
+        rollout(env, params, [state], [obs], 3, R.key_from_seed(1))

@@ -480,6 +480,52 @@ def test_run_state_rejects_bad_file(tmp_path):
         load_run_state(bad)
 
 
+def _agent_on_wall(env_state):
+    rows = env_state["inner_level"].split("\n")
+    r, c = next((r, c) for r, row in enumerate(rows) for c, ch in enumerate(row) if ch == ".")
+    rows[r] = rows[r][:c] + "#" + rows[r][c + 1:]
+    return {"inner_level": "\n".join(rows), "agent_pos": [r, c]}
+
+
+def _agent_on_goal(env_state):
+    rows = env_state["inner_level"].split("\n")
+    return {"agent_pos": next([r, row.index("G")] for r, row in enumerate(rows) if "G" in row)}
+
+
+def _first_env_state(change):
+    """Payload mangler that updates the first env state with ``change(it)``."""
+    def mangle(payload):
+        first, *rest = payload["env_states"]
+        return {**payload, "env_states": [{**first, **change(first)}, *rest]}
+    return mangle
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        lambda payload: [1, 2],
+        _first_env_state(lambda d: {"agent_dir": 7}),
+        _first_env_state(lambda d: {"timestep": 500}),
+        _first_env_state(lambda d: {"agent_pos": [99, 99]}),
+        _first_env_state(_agent_on_wall),
+        _first_env_state(_agent_on_goal),
+        _first_env_state(lambda d: {"level": "^.G\n"}),
+        _first_env_state(lambda d: {"agent_dir": "up"}),
+        lambda payload: {**payload, "env_states": payload["env_states"][1:]},
+        lambda payload: {k: v for k, v in payload.items() if k != "env_states"},
+    ],
+    ids=["json_list", "agent_dir_7", "timestep_500", "agent_pos_99", "agent_on_wall",
+         "agent_on_goal", "level_size", "agent_dir_str", "env_count", "no_env_states"],
+)
+def test_load_run_state_rejects_bad_env_states(tmp_path, mangle):
+    train(tiny_config(), seed=3, out_dir=str(tmp_path / "run"), max_cycles=1)
+    payload = json.loads((tmp_path / "run" / "state.json").read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(mangle(payload)))
+    with pytest.raises(UedError):
+        load_run_state(bad)
+
+
 def test_thread_env_var_does_not_change_results(tmp_path):
     # The package reads no UED_FORGE_THREADS; setting it must change nothing.
     cfg = tiny_config(algorithm="plr")
