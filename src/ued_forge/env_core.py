@@ -84,8 +84,11 @@ class UnderspecifiedEnv(ABC):
         * ``step(actions) -> mask``: applies one action per row, except on
           the rows in the returned mask, whose episode that action ends;
           those stay as they were, for the caller to step with :meth:`step`;
-        * ``state(e)``, ``set_state(e, state, observation)`` and
-          ``observation(e)`` to read and replace row ``e``.
+        * ``state(e)`` and ``set_state(e, state, observation)`` to read and
+          replace row ``e``.
+
+        A batch encodes its rows from their states, so it may ignore the
+        observation ``set_state`` passes; a rollout reads back states only.
         """
         return None
 
@@ -107,7 +110,6 @@ class _WrappedBatch:
         self.levels = levels
         self.encode = inner.encode
         self.step = inner.step
-        self.observation = inner.observation
 
     def state(self, e: int) -> WrappedState:
         return WrappedState(inner=self.inner.state(e), level=self.levels[e])
@@ -118,7 +120,9 @@ class _WrappedBatch:
 
 
 class _LevelResetWrapper(UnderspecifiedEnv):
-    """What both auto-resetting wrappers share; each defines its own step."""
+    """What both auto-resetting wrappers share. Each defines its own ``step``
+    over :meth:`_step`, because the benchmark traces each wrapper's own
+    ``step``."""
 
     env: UnderspecifiedEnv
 
@@ -137,14 +141,10 @@ class _LevelResetWrapper(UnderspecifiedEnv):
         inner = self.env.batch([s.inner for s in states])
         return None if inner is None else _WrappedBatch(inner, [s.level for s in states])
 
-
-class AutoReplayWrapper(_LevelResetWrapper):
-    """On episode end, immediately reset to the previously played level."""
-
-    def __init__(self, env: UnderspecifiedEnv):
-        self.env = env
-
-    def step(self, state: WrappedState, action: int, rng: np.random.Generator):
+    def _step(self, state: WrappedState, action: int, rng: np.random.Generator,
+              next_level: Callable[[np.random.Generator], Any]) -> StepResult:
+        """Step the inner env; when its episode ends, keep the terminal
+        reward and reset to ``next_level(rng)``."""
         inner_res = self.env.step(state.inner, action, rng)
         if not inner_res.done:
             return StepResult(
@@ -153,13 +153,21 @@ class AutoReplayWrapper(_LevelResetWrapper):
                 inner_res.reward,
                 False,
             )
-        fresh_state, fresh_obs = self.env.reset_to_level(state.level, rng)
+        level = next_level(rng)
+        fresh_state, fresh_obs = self.env.reset_to_level(level, rng)
         return StepResult(
-            WrappedState(inner=fresh_state, level=state.level),
-            fresh_obs,
-            inner_res.reward,
-            True,
+            WrappedState(inner=fresh_state, level=level), fresh_obs, inner_res.reward, True
         )
+
+
+class AutoReplayWrapper(_LevelResetWrapper):
+    """On episode end, immediately reset to the previously played level."""
+
+    def __init__(self, env: UnderspecifiedEnv):
+        self.env = env
+
+    def step(self, state: WrappedState, action: int, rng: np.random.Generator):
+        return self._step(state, action, rng, lambda _: state.level)
 
 
 class AutoResetWrapper(_LevelResetWrapper):
@@ -174,19 +182,4 @@ class AutoResetWrapper(_LevelResetWrapper):
         self.level_source = level_source
 
     def step(self, state: WrappedState, action: int, rng: np.random.Generator):
-        inner_res = self.env.step(state.inner, action, rng)
-        if not inner_res.done:
-            return StepResult(
-                WrappedState(inner=inner_res.state, level=state.level),
-                inner_res.observation,
-                inner_res.reward,
-                False,
-            )
-        new_level = self.level_source(rng)
-        fresh_state, fresh_obs = self.env.reset_to_level(new_level, rng)
-        return StepResult(
-            WrappedState(inner=fresh_state, level=new_level),
-            fresh_obs,
-            inner_res.reward,
-            True,
-        )
+        return self._step(state, action, rng, self.level_source)

@@ -46,7 +46,7 @@ blank line (UTF-8, LF).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -347,9 +347,6 @@ class MazeBatch:
         self.dir[e] = state.agent_dir
         self.t[e] = state.timestep
 
-    def observation(self, e: int) -> MazeObservation:
-        return self.env.observe(self.state(e))
-
 
 # ---------------------------------------------------------------------------
 # Level generation and mutation
@@ -555,31 +552,20 @@ class MazeEditorEnv(UnderspecifiedEnv):
         level = state.level
         w = level.width
         target = (action // w, action % w)
-        if state.edit_index == 0:
-            if target == level.agent_pos:
-                target = self._resample_cell(rng, exclude=level.agent_pos)
+        if state.edit_index < 2:
+            # Edit 0 places the goal, edit 1 the agent, each off the other.
+            other = level.agent_pos if state.edit_index == 0 else level.goal_pos
+            if target == other:
+                target = self._resample_cell(rng, exclude=other)
             walls = level.walls.copy()
             walls[target] = False
-            level = MazeLevel(
-                level.width, level.height, walls, level.agent_pos,
-                level.agent_dir, target,
-            )
-        elif state.edit_index == 1:
-            if target == level.goal_pos:
-                target = self._resample_cell(rng, exclude=level.goal_pos)
-            walls = level.walls.copy()
-            walls[target] = False
-            level = MazeLevel(
-                level.width, level.height, walls, target,
-                int(rng.integers(0, 4)), level.goal_pos,
-            )
+            placed = ({"goal_pos": target} if state.edit_index == 0
+                      else {"agent_pos": target, "agent_dir": int(rng.integers(0, 4))})
+            level = replace(level, walls=walls, **placed)
         elif target != level.agent_pos and target != level.goal_pos:
             walls = level.walls.copy()
             walls[target] = not walls[target]
-            level = MazeLevel(
-                level.width, level.height, walls, level.agent_pos,
-                level.agent_dir, level.goal_pos,
-            )
+            level = replace(level, walls=walls)
         new_state = EditorState(
             level=level, edit_index=state.edit_index + 1, budget=state.budget
         )

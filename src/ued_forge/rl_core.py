@@ -23,7 +23,9 @@ samples every action at once by inverse CDF (one uniform per env) and
 advances the env's array form (:meth:`UnderspecifiedEnv.batch`). The rows
 whose episode ends, and every row of an env without an array form, step
 through the env's own ``step``, so auto-resetting wrappers still pay the
-terminal reward and draw the next level from that env's stream.
+terminal reward and draw the next level from that env's stream. A rollout
+returns the trajectory and the final states; only an env without an array
+form needs the starting observations.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import json
 import math
 import numbers
 import struct
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -218,14 +220,6 @@ def _im2col(x: np.ndarray) -> np.ndarray:
     return np.concatenate(cols, axis=3)
 
 
-def _col2im(dcols: np.ndarray, shape) -> np.ndarray:
-    b, h, w, c = shape
-    dxp = np.zeros((b, h + 2, w + 2, c), dtype=dcols.dtype)
-    for idx, (i, j) in enumerate((i, j) for i in range(3) for j in range(3)):
-        dxp[:, i:i + h, j:j + w, :] += dcols[..., idx * c:(idx + 1) * c]
-    return dxp[:, 1:-1, 1:-1, :]
-
-
 def _forward_cached(params: ActorCriticParams, images, extras):
     cfg = params.config
     dt = cfg.np_dtype
@@ -234,16 +228,16 @@ def _forward_cached(params: ActorCriticParams, images, extras):
     images = np.ascontiguousarray(images, dtype=dt)
     extras = np.ascontiguousarray(extras, dtype=dt)
     cache = {"images": images, "extras": extras}
+    # Sizes are explicit so that a batch of zero rows reshapes too.
     if cfg.torso == "conv":
         cols = _im2col(images)
-        flat_cols = cols.reshape(b, -1, cols.shape[-1])
-        z0 = flat_cols @ p["ck"].reshape(-1, cfg.conv_filters) + p["cb"]
-        a0 = np.tanh(z0)
+        cols = cols.reshape(b, math.prod(cols.shape[1:3]), cols.shape[-1])
+        a0 = np.tanh(cols @ p["ck"].reshape(-1, cfg.conv_filters) + p["cb"])
         cache["cols"] = cols
         cache["a0"] = a0
-        feat = np.concatenate([a0.reshape(b, -1), extras], axis=1)
+        feat = np.concatenate([a0.reshape(b, math.prod(a0.shape[1:])), extras], axis=1)
     else:
-        feat = np.concatenate([images.reshape(b, -1), extras], axis=1)
+        feat = np.concatenate([images.reshape(b, math.prod(images.shape[1:])), extras], axis=1)
     h1 = np.tanh(feat @ p["w1"] + p["b1"])
     h2 = np.tanh(h1 @ p["w2"] + p["b2"])
     logits = h2 @ p["wp"] + p["bp"]
@@ -283,13 +277,11 @@ def _backward(params: ActorCriticParams, cache, dlogits, dvalues):
     grads["w1"] = feat.T @ dz1
     grads["b1"] = dz1.sum(axis=0)
     if cfg.torso == "conv":
-        b = feat.shape[0]
         dfeat = dz1 @ p["w1"].T
         n_conv = feat.shape[1] - cfg.extra_dim
         da0 = dfeat[:, :n_conv].reshape(cache["a0"].shape)
         dz0 = da0 * (1.0 - cache["a0"] ** 2)
-        flat_cols = cache["cols"].reshape(b, -1, cache["cols"].shape[-1])
-        grads["ck"] = np.einsum("bpk,bpf->kf", flat_cols, dz0).reshape(p["ck"].shape)
+        grads["ck"] = np.einsum("bpk,bpf->kf", cache["cols"], dz0).reshape(p["ck"].shape)
         grads["cb"] = dz0.sum(axis=(0, 1))
     return grads
 
@@ -405,6 +397,9 @@ class _EnvRows:
     without a batch form: every row steps through ``env.step``."""
 
     def __init__(self, env: UnderspecifiedEnv, states, observations, cfg: NetConfig):
+        if observations is None:
+            raise ValueError(f"{type(env).__name__} has no batch form, so rollout "
+                             "needs the starting observations")
         self.env = env
         self.states = list(states)
         self.observations = list(observations)
@@ -428,23 +423,22 @@ class _EnvRows:
         self.states[e] = state
         self.observations[e] = observation
 
-    def observation(self, e):
-        return self.observations[e]
-
 
 def rollout(
     env: UnderspecifiedEnv,
     params: ActorCriticParams,
     states: list,
-    observations: list,
+    observations: list | None,
     n_steps: int,
     key: rng_mod.Key,
 ):
     """Step N envs for ``n_steps``, sampling actions from the policy.
 
-    Returns (Trajectory, final states, final observations). Each env consumes
-    its own split of ``key``: one uniform per step for its action, then
-    whatever ``env.step`` draws.
+    Returns (Trajectory, final states). ``observations`` are the states'
+    starting observations; they may be None when ``env`` has a batch form,
+    which encodes the states itself. Each env consumes its own split of
+    ``key``: one uniform per step for its action, then whatever ``env.step``
+    draws.
     """
     n = len(states)
     cfg = params.config
@@ -484,10 +478,7 @@ def rollout(
             rewards[t, e] = res.reward
             dones[t, e] = res.done
 
-    if n_steps > 0 or n > 0:
-        _, bootstrap = forward(params, *batch.encode())
-    else:
-        bootstrap = np.zeros(0)
+    _, bootstrap = forward(params, *batch.encode())
     traj = Trajectory(
         images=images,
         extras=extras,
@@ -498,7 +489,7 @@ def rollout(
         dones=dones,
         bootstrap_values=np.asarray(bootstrap, dtype=np.float64),
     )
-    return traj, [batch.state(e) for e in rows], [batch.observation(e) for e in rows]
+    return traj, [batch.state(e) for e in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -667,15 +658,7 @@ def params_to_bytes(params: ActorCriticParams) -> bytes:
     names = cfg.param_names()
     header = {
         "version": 1,
-        "config": {
-            "image_shape": list(cfg.image_shape),
-            "extra_dim": cfg.extra_dim,
-            "n_actions": cfg.n_actions,
-            "hidden": cfg.hidden,
-            "torso": cfg.torso,
-            "conv_filters": cfg.conv_filters,
-            "dtype": cfg.dtype,
-        },
+        "config": asdict(cfg),
         "adam_t": params.adam_t,
         "updates": params.updates,
         "params": {k: list(params.layers[k].shape) for k in names},
@@ -709,15 +692,9 @@ def _decode_params(data: bytes) -> ActorCriticParams:
     if header.get("version") != 1:
         raise ValueError(f"unsupported checkpoint version {header.get('version')}")
     c = header["config"]
-    cfg = NetConfig(
-        image_shape=tuple(c["image_shape"]),
-        extra_dim=c["extra_dim"],
-        n_actions=c["n_actions"],
-        hidden=c["hidden"],
-        torso=c["torso"],
-        conv_filters=c["conv_filters"],
-        dtype=c["dtype"],
-    )
+    if set(c) != {f.name for f in fields(NetConfig)}:
+        raise ValueError(f"network config fields {sorted(c)} do not match NetConfig")
+    cfg = NetConfig(**{**c, "image_shape": tuple(c["image_shape"])})
     names = cfg.param_names()
     offset = 12 + head_len
     dt = cfg.np_dtype

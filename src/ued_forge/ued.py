@@ -373,7 +373,7 @@ def rollout_on_levels(config: UedConfig, env, params: ActorCriticParams, levels,
         env.reset_to_level(level, rng_mod.generator(k))
         for level, k in zip(levels, rng_mod.split(k_reset, len(levels)))
     ))
-    traj, _, _ = rollout(env, params, states, observations, config.ppo.rollout_steps, k_roll)
+    traj, _ = rollout(env, params, states, observations, config.ppo.rollout_steps, k_roll)
     adv, targets = compute_gae(traj, config.ppo.gamma, config.ppo.gae_lambda)
     return traj, adv, targets
 
@@ -419,6 +419,25 @@ def _train_student(config: UedConfig, state: RunState, traj, adv, targets):
 # Buffer-based cycle subroutines
 # ---------------------------------------------------------------------------
 
+def _on_fresh_levels(config: UedConfig, env, state: RunState, levels, key: rng_mod.Key,
+                     op: str, train: bool):
+    """Roll out on levels new to the buffer, score them with no prior, train
+    on them if ``train``, and insert them."""
+    traj, adv, targets = rollout_on_levels(config, env, state.params, levels, key)
+    scores, extras = _score_trajectory(config, traj, adv, prior_max=None)
+    metrics = {"cycle_type": op, "trained": False}
+    if train:
+        state, trained = _train_student(config, state, traj, adv, targets)
+        metrics.update(trained)
+    metrics.update(_episode_metrics(traj))
+    new_state = replace(
+        state,
+        buffer=insert_batch(state.buffer, levels, scores, extras),
+        env_steps=state.env_steps + config.ppo.n_envs * traj.n_steps,
+    )
+    return new_state, metrics
+
+
 def on_new_levels(config: UedConfig, env, state: RunState, key: rng_mod.Key):
     """Generate, roll out, score, and insert a batch of fresh levels.
 
@@ -431,20 +450,7 @@ def on_new_levels(config: UedConfig, env, state: RunState, key: rng_mod.Key):
         )
         for k in rng_mod.split(k_gen, config.ppo.n_envs)
     ]
-    traj, adv, targets = rollout_on_levels(config, env, state.params, levels, k_roll)
-    scores, extras = _score_trajectory(config, traj, adv, prior_max=None)
-
-    metrics = {"cycle_type": OP_NEW, "trained": False}
-    if not config.robust:
-        state, trained = _train_student(config, state, traj, adv, targets)
-        metrics.update(trained)
-    metrics.update(_episode_metrics(traj))
-    new_state = replace(
-        state,
-        buffer=insert_batch(state.buffer, levels, scores, extras),
-        env_steps=state.env_steps + config.ppo.n_envs * traj.n_steps,
-    )
-    return new_state, metrics
+    return _on_fresh_levels(config, env, state, levels, k_roll, OP_NEW, train=not config.robust)
 
 
 def on_replay_levels(config: UedConfig, env, state: RunState, key: rng_mod.Key):
@@ -484,39 +490,28 @@ def on_mutate_levels(config: UedConfig, env, state: RunState, key: rng_mod.Key):
         mutate_level(level, rng_mod.generator(k), config.n_edits)
         for level, k in zip(state.last_replayed, rng_mod.split(k_mut, len(state.last_replayed)))
     ]
-    traj, adv, targets = rollout_on_levels(config, env, state.params, levels, k_roll)
-    scores, extras = _score_trajectory(config, traj, adv, prior_max=None)
-    buffer = insert_batch(state.buffer, levels, scores, extras)
-
-    metrics = {"cycle_type": OP_MUTATE, "trained": False}
-    metrics.update(_episode_metrics(traj))
-    new_state = replace(
-        state,
-        buffer=buffer,
-        env_steps=state.env_steps + config.ppo.n_envs * traj.n_steps,
-    )
-    return new_state, metrics
+    return _on_fresh_levels(config, env, state, levels, k_roll, OP_MUTATE, train=False)
 
 
 # ---------------------------------------------------------------------------
 # Per-algorithm cycles: each factory returns cycle(state, key) -> (state, entry)
 # ---------------------------------------------------------------------------
 
-def _dr_fresh_level(config: UedConfig):
+def _dr_env(config: UedConfig) -> AutoResetWrapper:
+    """The ``dr`` student env: a maze that resets to a fresh random level."""
     def fresh_level(gen):
         return generate_random_level(gen, config.width, config.height, config.max_walls)
-    return fresh_level
+    return AutoResetWrapper(
+        MazeEnv(max_steps=config.max_episode_steps, view_size=config.view_size), fresh_level
+    )
 
 
 def _dr_cycle(config: UedConfig):
-    maze = MazeEnv(max_steps=config.max_episode_steps, view_size=config.view_size)
-    env = AutoResetWrapper(maze, _dr_fresh_level(config))
+    env = _dr_env(config)
 
     def cycle(state: RunState, key: rng_mod.Key):
-        observations = [maze.observe(s.inner) for s in state.env_states]
-        traj, env_states, _ = rollout(
-            env, state.params, state.env_states, observations,
-            config.ppo.rollout_steps, key,
+        traj, env_states = rollout(
+            env, state.params, state.env_states, None, config.ppo.rollout_steps, key
         )
         adv, targets = compute_gae(traj, config.ppo.gamma, config.ppo.gae_lambda)
         state, trained = _train_student(config, state, traj, adv, targets)
@@ -584,7 +579,7 @@ def _paired_cycle(config: UedConfig):
 
         # Adversary builds one level per env, one edit per step.
         ed_states, ed_obs = zip(*(editor_env.reset_to_level(canvas, None) for _ in range(n)))
-        ed_traj, ed_states, _ = rollout(
+        ed_traj, ed_states = rollout(
             editor_env, state.adversary, ed_states, ed_obs,
             editor_env.episode_steps, k_ed,
         )
@@ -665,15 +660,11 @@ def init_run_state(config: UedConfig, master: rng_mod.Key) -> RunState:
     net_cfg = student_net_config(config)
     params = init_params(rng_mod.generator(keys[0]), net_cfg)
     if config.algorithm == "dr":
-        fresh_level = _dr_fresh_level(config)
-        env = AutoResetWrapper(
-            MazeEnv(max_steps=config.max_episode_steps, view_size=config.view_size),
-            fresh_level,
-        )
+        env = _dr_env(config)
         env_states = []
         for k in rng_mod.split(keys[1], config.ppo.n_envs):
             gen = rng_mod.generator(k)
-            env_states.append(env.reset_to_level(fresh_level(gen), gen)[0])
+            env_states.append(env.reset_to_level(env.level_source(gen), gen)[0])
         return RunState(params=params, env_states=env_states)
     if config.algorithm == "paired":
         return RunState(
@@ -787,15 +778,19 @@ def _maze_state_to_dict(ws: WrappedState) -> dict:
     }
 
 
+def _check_level_sizes(levels, config: UedConfig, what: str) -> None:
+    for lv in levels:
+        if (lv.width, lv.height) != (config.width, config.height):
+            raise UedError(f"{what} level is {lv.width}x{lv.height}, "
+                           f"config is {config.width}x{config.height}")
+
+
 def _maze_state_from_dict(d: dict, config: UedConfig) -> WrappedState:
     """One ``dr`` env state, checked against ``config``: both levels have its
     size, and the agent stands on a floor cell other than the goal, facing
     0..3, before the time limit."""
     level, inner_level = parse_level(d["level"]), parse_level(d["inner_level"])
-    for lv in (level, inner_level):
-        if (lv.width, lv.height) != (config.width, config.height):
-            raise UedError(f"env state level is {lv.width}x{lv.height}, "
-                           f"config is {config.width}x{config.height}")
+    _check_level_sizes((level, inner_level), config, "env state")
     pos, direction, t = d["agent_pos"], d["agent_dir"], d["timestep"]
     if not (isinstance(pos, list) and len(pos) == 2 and all(
             isinstance(v, int) and not isinstance(v, bool) for v in (*pos, direction, t))):
@@ -857,16 +852,17 @@ def load_run_state(path) -> dict:
         if required not in payload:
             raise UedError(f"run state missing field {required!r}")
     out = dict(payload)
-    out["config"] = ued_config_from_dict(payload["config"])
+    config = out["config"] = ued_config_from_dict(payload["config"])
     out["params"] = _unb64(payload["params"])
     for name in ("antagonist", "adversary"):
         if payload.get(name):
             out[name] = _unb64(payload[name])
     if payload.get("buffer"):
         out["buffer"] = buffer_from_text(payload["buffer"])
+        _check_level_sizes(out["buffer"].levels, config, "buffer")
     if payload.get("last_replayed"):
         out["last_replayed"] = tuple(parse_level(t) for t in payload["last_replayed"])
-    config = out["config"]
+        _check_level_sizes(out["last_replayed"], config, "last_replayed")
     if "env_states" in payload or config.algorithm == "dr":
         try:
             out["env_states"] = [_maze_state_from_dict(d, config) for d in payload["env_states"]]

@@ -99,3 +99,9 @@ def test_wrappers_delegate_actions_and_encoding():
     assert img.shape == (5, 5, 3)
     assert extra.shape == (4,)
     assert extra[DOWN] == 1.0
+
+
+def test_each_wrapper_defines_its_own_step():
+    # The benchmark's tracer patches each wrapper class's own ``step``.
+    assert "step" in AutoResetWrapper.__dict__
+    assert "step" in AutoReplayWrapper.__dict__

@@ -159,6 +159,8 @@ def test_backward_matches_fd_per_layer(cfg):
         err = rel_err(grads[name].ravel(), fd[i:i + n])
         assert err < 1e-6, f"layer {name}: rel err {err:.2e}"
         i += n
+    logits, values = forward(p, img[:0], ext[:0])
+    assert logits.shape == (0, cfg.n_actions) and values.shape == (0,)
 
 
 def random_batch(cfg, gen, b=24):
@@ -375,7 +377,7 @@ def test_rollout_deterministic_and_thread_invariant():
     outs = []
     for _ in range(3):
         env, params, states, obs = fresh_roll_setup()
-        traj, _, _ = rollout(env, params, states, obs, 20, key)
+        traj, _ = rollout(env, params, states, obs, 20, key)
         outs.append(traj)
     for field in ("images", "extras", "actions", "log_probs", "values",
                   "rewards", "dones", "bootstrap_values"):
@@ -386,15 +388,15 @@ def test_rollout_deterministic_and_thread_invariant():
 
 def test_rollout_key_changes_actions():
     env, params, states, obs = fresh_roll_setup()
-    t1, _, _ = rollout(env, params, list(states), list(obs), 20, R.key_from_seed(4))
+    t1, _ = rollout(env, params, list(states), list(obs), 20, R.key_from_seed(4))
     env2, params2, states2, obs2 = fresh_roll_setup()
-    t2, _, _ = rollout(env2, params2, states2, obs2, 20, R.key_from_seed(5))
+    t2, _ = rollout(env2, params2, states2, obs2, 20, R.key_from_seed(5))
     assert not np.array_equal(t1.actions, t2.actions)
 
 
 def test_rollout_records_match_recompute():
     env, params, states, obs = fresh_roll_setup()
-    traj, _, _ = rollout(env, params, states, obs, 15, R.key_from_seed(6))
+    traj, _ = rollout(env, params, states, obs, 15, R.key_from_seed(6))
     for t in range(15):
         logits, values = forward(params, traj.images[t], traj.extras[t])
         assert np.allclose(traj.values[t], values, atol=1e-12)
@@ -405,7 +407,7 @@ def test_rollout_records_match_recompute():
 
 def test_rollout_episodes_reset_on_done():
     env, params, states, obs = fresh_roll_setup()
-    traj, _, _ = rollout(env, params, states, obs, 30, R.key_from_seed(7))
+    traj, _ = rollout(env, params, states, obs, 30, R.key_from_seed(7))
     # max_steps=12 forces at least two dones per env in 30 steps
     assert traj.dones.any(axis=0).all()
     # after every done the env was reset, so no reward follows a terminal
@@ -469,7 +471,7 @@ def test_annealed_lr_schedule():
 
 def rollout_for_update(seed=0, t_len=16):
     env, params, states, obs = fresh_roll_setup(seed=seed)
-    traj, _, _ = rollout(env, params, states, obs, t_len, R.key_from_seed(seed))
+    traj, _ = rollout(env, params, states, obs, t_len, R.key_from_seed(seed))
     return params, traj
 
 
@@ -591,8 +593,9 @@ def _with_header(data: bytes, edit) -> bytes:
         lambda d: d[:10],
         lambda d: _with_header(d, lambda h: h.pop("config")),
         lambda d: _with_header(d, lambda h: h["config"].pop("extra_dim")),
+        lambda d: _with_header(d, lambda h: h["config"].update(dropout=0.1)),
     ],
-    ids=["short_header", "no_config", "no_extra_dim"],
+    ids=["short_header", "no_config", "no_extra_dim", "extra_config_key"],
 )
 def test_params_from_bytes_raises_checkpoint_error(mangle):
     data = params_to_bytes(make_params(MLP64))

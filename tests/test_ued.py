@@ -3,14 +3,15 @@ operations, step accounting, run-state checkpoints, and resume."""
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ued_forge import rng as R
 from ued_forge.env_core import AutoReplayWrapper
-from ued_forge.level_sampler import new_buffer
-from ued_forge.maze import MazeEnv
+from ued_forge.level_sampler import buffer_from_text, buffer_to_text, new_buffer
+from ued_forge.maze import MazeEnv, format_level, parse_level
 from ued_forge.rl_core import PpoConfig, episode_returns, init_params, params_to_bytes
 from ued_forge.ued import (
     NODE_A,
@@ -523,6 +524,23 @@ def test_load_run_state_rejects_bad_env_states(tmp_path, mangle):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(mangle(payload)))
     with pytest.raises(UedError):
+        load_run_state(bad)
+
+
+@pytest.mark.parametrize("field", ["last_replayed", "buffer"])
+def test_load_run_state_rejects_wrong_size_levels(tmp_path, field):
+    train(tiny_config(algorithm="accel"), seed=2, out_dir=str(tmp_path / "run"), max_cycles=4)
+    payload = json.loads((tmp_path / "run" / "state.json").read_text())
+    assert payload["buffer"] and payload["last_replayed"]
+    small = parse_level("^.G\n#..\n...\n")
+    if field == "last_replayed":
+        payload["last_replayed"][0] = format_level(small)
+    else:
+        buf = buffer_from_text(payload["buffer"])
+        payload["buffer"] = buffer_to_text(replace(buf, levels=(small, *buf.levels[1:])))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    with pytest.raises(UedError, match=f"{field} level is 3x3"):
         load_run_state(bad)
 
 
