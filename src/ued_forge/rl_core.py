@@ -14,6 +14,9 @@ normalized to zero mean / unit variance over the batch, the policy maximizes
 squared error, and an entropy bonus is subtracted. Epochs run over the full
 batch (single minibatch). All parameters live in float32 by default;
 instantiate with ``dtype="float64"`` for high-precision gradient checking.
+An update allocates one workspace (:func:`_ppo_workspace`) for all its epochs:
+the inputs that every epoch reads are built once, and every (B, hidden) or
+(B, n_actions) temporary is written into it in place.
 
 Rollouts step a batch of environments for a fixed number of steps, sampling
 actions from the policy. Each environment owns an independent random stream
@@ -116,8 +119,15 @@ class NetConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
+        check_field_types(self)
         if self.torso not in ("mlp", "conv"):
             raise ValueError(f"unknown torso {self.torso!r}")
+        if self.dtype not in ("float32", "float64"):
+            raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
+        if min(self.hidden, self.n_actions, self.conv_filters, *self.image_shape) < 1:
+            raise ValueError("image_shape, hidden, n_actions and conv_filters must be >= 1")
+        if self.extra_dim < 0:
+            raise ValueError("extra_dim must be non-negative")
         if self.torso == "conv" and len(self.image_shape) != 3:
             raise ValueError("conv torso needs an (H, W, C) image shape")
 
@@ -125,11 +135,21 @@ class NetConfig:
     def np_dtype(self):
         return np.dtype(self.dtype)
 
-    def param_names(self) -> list[str]:
-        names = []
+    def param_shapes(self) -> dict[str, tuple]:
+        """The shape of each parameter, in checkpoint order."""
+        h, n_act = self.hidden, self.n_actions
+        shapes = {}
         if self.torso == "conv":
-            names += ["ck", "cb"]
-        return names + ["w1", "b1", "w2", "b2", "wp", "bp", "wv", "bv"]
+            img_h, img_w, c = self.image_shape
+            shapes.update(ck=(3, 3, c, self.conv_filters), cb=(self.conv_filters,))
+            feat_dim = img_h * img_w * self.conv_filters + self.extra_dim
+        else:
+            feat_dim = math.prod(self.image_shape) + self.extra_dim
+        return {**shapes, "w1": (feat_dim, h), "b1": (h,), "w2": (h, h), "b2": (h,),
+                "wp": (h, n_act), "bp": (n_act,), "wv": (h, 1), "bv": (1,)}
+
+    def param_names(self) -> list[str]:
+        return list(self.param_shapes())
 
 
 @dataclass
@@ -175,37 +195,18 @@ def _orthogonal(rng: np.random.Generator, rows: int, cols: int, gain: float):
     return gain * q[:rows, :cols]
 
 
+# Orthogonal-init gains of the weight matrices; the other parameters start at 0.
+_GAINS = {"ck": math.sqrt(2), "w1": math.sqrt(2), "w2": math.sqrt(2), "wp": 0.01, "wv": 1.0}
+
+
 def init_params(rng: np.random.Generator, config: NetConfig) -> ActorCriticParams:
-    dt = config.np_dtype
-    h = config.hidden
     layers = {}
-    if config.torso == "conv":
-        _, _, c = config.image_shape
-        k_in = 9 * c
-        layers["ck"] = _orthogonal(rng, k_in, config.conv_filters, np.sqrt(2)).reshape(
-            3, 3, c, config.conv_filters
-        )
-        layers["cb"] = np.zeros(config.conv_filters)
-        img_h, img_w, _ = config.image_shape
-        feat_dim = img_h * img_w * config.conv_filters + config.extra_dim
-    else:
-        feat_dim = int(np.prod(config.image_shape)) + config.extra_dim
-    layers["w1"] = _orthogonal(rng, feat_dim, h, np.sqrt(2))
-    layers["b1"] = np.zeros(h)
-    layers["w2"] = _orthogonal(rng, h, h, np.sqrt(2))
-    layers["b2"] = np.zeros(h)
-    layers["wp"] = _orthogonal(rng, h, config.n_actions, 0.01)
-    layers["bp"] = np.zeros(config.n_actions)
-    layers["wv"] = _orthogonal(rng, h, 1, 1.0)
-    layers["bv"] = np.zeros(1)
-    layers = {k: a.astype(dt) for k, a in layers.items()}
-    zeros = {k: np.zeros_like(a) for k, a in layers.items()}
-    return ActorCriticParams(
-        config=config,
-        layers=layers,
-        m=zeros,
-        v={k: np.zeros_like(a) for k, a in layers.items()},
-    )
+    for k, shape in config.param_shapes().items():
+        a = (_orthogonal(rng, math.prod(shape[:-1]), shape[-1], _GAINS[k]).reshape(shape)
+             if k in _GAINS else np.zeros(shape))
+        layers[k] = a.astype(config.np_dtype)
+    return ActorCriticParams(config, layers, m={k: np.zeros_like(a) for k, a in layers.items()},
+                             v={k: np.zeros_like(a) for k, a in layers.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -220,27 +221,37 @@ def _im2col(x: np.ndarray) -> np.ndarray:
     return np.concatenate(cols, axis=3)
 
 
-def _forward_cached(params: ActorCriticParams, images, extras):
+def _features(x, extras, dt):
+    """Each row of ``x`` flattened, followed by its extras, in dtype ``dt``."""
+    b = x.shape[0]  # explicit sizes, so that a batch of zero rows reshapes too
+    return np.concatenate([x.reshape(b, math.prod(x.shape[1:])), extras], axis=1,
+                          dtype=dt, casting="unsafe")
+
+
+def _forward_cached(params: ActorCriticParams, images, extras, work=None):
+    """Logits, values and the activations :func:`_backward` needs. ``work``
+    (from :func:`_ppo_workspace`) holds the output arrays and the ``mlp``
+    features; without it every array is new."""
     cfg = params.config
-    dt = cfg.np_dtype
     p = params.layers
-    b = images.shape[0]
-    images = np.ascontiguousarray(images, dtype=dt)
-    extras = np.ascontiguousarray(extras, dtype=dt)
-    cache = {"images": images, "extras": extras}
-    # Sizes are explicit so that a batch of zero rows reshapes too.
+    w = work or {}
+    cache = {}
     if cfg.torso == "conv":
-        cols = _im2col(images)
-        cols = cols.reshape(b, math.prod(cols.shape[1:3]), cols.shape[-1])
+        cols = _im2col(np.ascontiguousarray(images, dtype=cfg.np_dtype))
+        cols = cols.reshape(cols.shape[0], math.prod(cols.shape[1:3]), cols.shape[-1])
         a0 = np.tanh(cols @ p["ck"].reshape(-1, cfg.conv_filters) + p["cb"])
-        cache["cols"] = cols
-        cache["a0"] = a0
-        feat = np.concatenate([a0.reshape(b, math.prod(a0.shape[1:])), extras], axis=1)
+        cache.update(cols=cols, a0=a0)
+        feat = _features(a0, extras, cfg.np_dtype)
     else:
-        feat = np.concatenate([images.reshape(b, math.prod(images.shape[1:])), extras], axis=1)
-    h1 = np.tanh(feat @ p["w1"] + p["b1"])
-    h2 = np.tanh(h1 @ p["w2"] + p["b2"])
-    logits = h2 @ p["wp"] + p["bp"]
+        feat = w["feat"] if "feat" in w else _features(images, extras, cfg.np_dtype)
+    h1 = np.matmul(feat, p["w1"], out=w.get("h1"))
+    h1 += p["b1"]
+    np.tanh(h1, out=h1)
+    h2 = np.matmul(h1, p["w2"], out=w.get("h2"))
+    h2 += p["b2"]
+    np.tanh(h2, out=h2)
+    logits = np.matmul(h2, p["wp"], out=w.get("logits"))
+    logits += p["bp"]
     values = (h2 @ p["wv"] + p["bv"])[:, 0]
     cache.update(feat=feat, h1=h1, h2=h2)
     return logits, values, cache
@@ -259,21 +270,26 @@ def forward(params: ActorCriticParams, images: np.ndarray, extras: np.ndarray):
     return logits, values
 
 
-def _backward(params: ActorCriticParams, cache, dlogits, dvalues):
+def _backward(params: ActorCriticParams, cache, dlogits, dvalues, work=None):
     cfg = params.config
     p = params.layers
+    w = work or {}
     h2, h1, feat = cache["h2"], cache["h1"], cache["feat"]
     grads = {}
     grads["wp"] = h2.T @ dlogits
     grads["bp"] = dlogits.sum(axis=0)
     grads["wv"] = h2.T @ dvalues[:, None]
     grads["bv"] = dvalues.sum(axis=0, keepdims=True)
-    dh2 = dlogits @ p["wp"].T + dvalues[:, None] @ p["wv"].T
-    dz2 = dh2 * (1.0 - h2 * h2)
+    tmp = w.get("tmp_h")
+    dz2 = np.matmul(dlogits, np.ascontiguousarray(p["wp"].T), out=w.get("dh2"))
+    dz2 += np.outer(dvalues, p["wv"], out=tmp)
+    t = np.multiply(h2, h2, out=tmp)  # the tanh derivative: dz2 *= 1 - h2 * h2
+    dz2 *= np.subtract(1.0, t, out=t)
     grads["w2"] = h1.T @ dz2
     grads["b2"] = dz2.sum(axis=0)
-    dh1 = dz2 @ p["w2"].T
-    dz1 = dh1 * (1.0 - h1 * h1)
+    dz1 = np.matmul(dz2, p["w2"].T, out=w.get("dh1"))
+    t = np.multiply(h1, h1, out=tmp)
+    dz1 *= np.subtract(1.0, t, out=t)
     grads["w1"] = feat.T @ dz1
     grads["b1"] = dz1.sum(axis=0)
     if cfg.torso == "conv":
@@ -286,9 +302,11 @@ def _backward(params: ActorCriticParams, cache, dlogits, dvalues):
     return grads
 
 
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+def log_softmax(logits: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """Row-wise log-softmax into ``out``, with ``scratch`` for the exponentials."""
+    z = np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
+    z -= np.log(np.exp(z, out=scratch).sum(axis=1, keepdims=True))
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -326,16 +344,15 @@ def compute_gae(traj: Trajectory, gamma: float, lam: float):
     """
     rewards = traj.rewards.astype(np.float64)
     values = traj.values.astype(np.float64)
-    t_len, n = rewards.shape
-    adv = np.zeros((t_len, n), dtype=np.float64)
-    last = np.zeros(n, dtype=np.float64)
-    v_next = traj.bootstrap_values.astype(np.float64)
-    for t in range(t_len - 1, -1, -1):
-        nonterm = 1.0 - traj.dones[t].astype(np.float64)
-        delta = rewards[t] + gamma * nonterm * v_next - values[t]
-        last = delta + gamma * lam * nonterm * last
+    nonterm = 1.0 - traj.dones.astype(np.float64)
+    v_next = np.concatenate([values[1:], traj.bootstrap_values.astype(np.float64)[None]])
+    delta = rewards + gamma * nonterm * v_next - values
+    carry = gamma * lam * nonterm
+    adv = np.zeros_like(values)
+    last = np.zeros(values.shape[1])
+    for t in range(len(values) - 1, -1, -1):
+        last = delta[t] + carry[t] * last
         adv[t] = last
-        v_next = values[t]
     return adv, adv + values
 
 
@@ -530,25 +547,41 @@ def adam_step(params: ActorCriticParams, grads: dict, lr: float, eps: float):
     return replace(params, layers=layers, m=m, v=v, adam_t=t)
 
 
-def _ppo_loss_grads(params, batch, config: PpoConfig):
-    """One full-batch loss evaluation: stats plus parameter gradients."""
+def _ppo_workspace(cfg: NetConfig, images, extras, acts) -> dict:
+    """The arrays every epoch of one PPO update reuses: the inputs that do not
+    change between epochs (the ``mlp`` features and the action one-hot), and
+    one array per (B, hidden) or (B, n_actions) temporary, written in place."""
+    b, dt = len(acts), cfg.np_dtype
+    work = {k: np.empty((b, cfg.hidden), dt) for k in ("h1", "h2", "dh2", "dh1", "tmp_h")}
+    for k in ("logits", "logp", "pi", "tmp_a", "dlogits"):
+        work[k] = np.empty((b, cfg.n_actions), dt)
+    work["one_hot"] = np.zeros((b, cfg.n_actions), dt)
+    work["one_hot"][np.arange(b), acts] = 1.0
+    if cfg.torso == "mlp":
+        work["feat"] = _features(images, extras, dt)
+    return work
+
+
+def _ppo_loss_grads(params, batch, config: PpoConfig, work=None):
+    """One full-batch loss evaluation: stats plus parameter gradients.
+    ``work`` is the :func:`_ppo_workspace` of this batch (a new one if None)."""
     images, extras, acts, old_logp, old_values, adv, targets = batch
     dt = params.config.np_dtype
     b = images.shape[0]
     eps = config.clip
+    w = work if work is not None else _ppo_workspace(params.config, images, extras, acts)
 
-    logits, vals, cache = _forward_cached(params, images, extras)
-    logp_all = log_softmax(logits)
-    pi = np.exp(logp_all)
-    rows = np.arange(b)
-    logp_a = logp_all[rows, acts]
+    logits, vals, cache = _forward_cached(params, images, extras, w)
+    logp_all = log_softmax(logits, out=w["logp"], scratch=w["pi"])
+    pi = np.exp(logp_all, out=w["pi"])
+    logp_a = logp_all[np.arange(b), acts]
     ratio = np.exp(logp_a - old_logp)
 
     unclipped = ratio * adv
     clipped = np.clip(ratio, 1.0 - eps, 1.0 + eps) * adv
     pg_loss = -np.minimum(unclipped, clipped).mean()
 
-    entropy_per = -(pi * logp_all).sum(axis=1)
+    entropy_per = -np.multiply(pi, logp_all, out=w["tmp_a"]).sum(axis=1)
     entropy = entropy_per.mean()
 
     if config.value_clip:
@@ -567,12 +600,14 @@ def _ppo_loss_grads(params, batch, config: PpoConfig):
     in_band = (ratio >= 1.0 - eps) & (ratio <= 1.0 + eps)
     dratio = np.where(use_unclipped, adv, np.where(in_band, adv, 0.0))
     dlogp_a = (-(1.0 / b) * dratio * ratio).astype(dt)
-    one_hot = np.zeros_like(logp_all)
-    one_hot[rows, acts] = 1.0
-    dlogits = dlogp_a[:, None] * (one_hot - pi)
-    # Entropy bonus: subtracting ent_coeff * H flips the sign of dH/dlogits.
-    dH = -pi * (logp_all + entropy_per[:, None])
-    dlogits -= (config.ent_coeff / b) * dH
+    dlogits = np.subtract(w["one_hot"], pi, out=w["dlogits"])
+    dlogits *= dlogp_a[:, None]
+    # Entropy bonus: subtracting ent_coeff * H adds ent_coeff * pi * (logp + H)
+    # to dlogits, the negative of dH/dlogits.
+    ent_grad = np.add(logp_all, entropy_per[:, None], out=w["tmp_a"])
+    ent_grad *= pi
+    ent_grad *= config.ent_coeff / b
+    dlogits += ent_grad
 
     if config.value_clip:
         use_raw = l_raw >= l_clip
@@ -582,7 +617,7 @@ def _ppo_loss_grads(params, batch, config: PpoConfig):
         dvals = vals - targets
     dvalues = (config.vf_coeff / b) * dvals
 
-    grads = _backward(params, cache, dlogits.astype(dt), dvalues.astype(dt))
+    grads = _backward(params, cache, dlogits, dvalues.astype(dt), w)
     stats = {
         "policy_loss": float(pg_loss),
         "value_loss": float(value_loss),
@@ -610,27 +645,20 @@ def ppo_update(
     if lr is None:
         lr = config.lr
     dt = params.config.np_dtype
-    t_len, n = traj.rewards.shape
-    b = t_len * n
+    b = traj.n_steps * traj.n_envs
     img = traj.images.reshape((b,) + tuple(params.config.image_shape))
     ext = traj.extras.reshape(b, -1)
     acts = traj.actions.reshape(b)
     old_logp = traj.log_probs.reshape(b).astype(dt)
     old_values = traj.values.reshape(b).astype(dt)
-    adv = normalize_advantages(np.asarray(advantages, dtype=np.float64))
-    batch = (
-        img,
-        ext,
-        acts,
-        old_logp,
-        old_values,
-        adv.reshape(b).astype(dt),
-        np.asarray(targets, dtype=np.float64).reshape(b).astype(dt),
-    )
+    adv = normalize_advantages(np.asarray(advantages, dtype=np.float64)).reshape(b).astype(dt)
+    targets = np.asarray(targets, dtype=np.float64).reshape(b).astype(dt)
+    batch = (img, ext, acts, old_logp, old_values, adv, targets)
+    work = _ppo_workspace(params.config, img, ext, acts)
 
     stats = {}
     for _ in range(config.epochs):
-        stats, grads = _ppo_loss_grads(params, batch, config)
+        stats, grads = _ppo_loss_grads(params, batch, config, work)
         if not np.isfinite(stats["total_loss"]):
             raise TrainingDivergedError(f"non-finite loss: {stats}")
         grads = clip_grads(grads, config.max_grad_norm)
@@ -680,7 +708,7 @@ def params_from_bytes(data: bytes) -> ActorCriticParams:
     on any malformed input."""
     try:
         return _decode_params(data)
-    except (struct.error, AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (struct.error, AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise CheckpointError(f"bad network checkpoint: {exc}") from exc
 
 
@@ -695,21 +723,24 @@ def _decode_params(data: bytes) -> ActorCriticParams:
     if set(c) != {f.name for f in fields(NetConfig)}:
         raise ValueError(f"network config fields {sorted(c)} do not match NetConfig")
     cfg = NetConfig(**{**c, "image_shape": tuple(c["image_shape"])})
-    names = cfg.param_names()
+    shapes = cfg.param_shapes()
+    if header["params"] != {k: list(s) for k, s in shapes.items()}:
+        raise ValueError(f"parameter shapes {header['params']} do not match the network config")
+    for name in ("adam_t", "updates"):
+        if type(header[name]) is not int or header[name] < 0:
+            raise ValueError(f"{name} must be a non-negative int, got {header[name]!r}")
     offset = 12 + head_len
-    dt = cfg.np_dtype
 
     def take(shape):
         nonlocal offset
-        n = int(np.prod(shape))
+        n = math.prod(shape)
         arr = np.frombuffer(data, dtype="<f4", count=n, offset=offset)
         offset += 4 * n
-        return arr.reshape(shape).astype(dt)
+        return arr.reshape(shape).astype(cfg.np_dtype)
 
-    shapes = {k: tuple(header["params"][k]) for k in names}
-    layers = {k: take(shapes[k]) for k in names}
-    m = {k: take(shapes[k]) for k in names}
-    v = {k: take(shapes[k]) for k in names}
+    layers = {k: take(s) for k, s in shapes.items()}
+    m = {k: take(s) for k, s in shapes.items()}
+    v = {k: take(s) for k, s in shapes.items()}
     if offset != len(data):
         raise ValueError("trailing bytes in network checkpoint")
     return ActorCriticParams(

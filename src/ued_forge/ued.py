@@ -147,20 +147,18 @@ class UedConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.scoring not in SCORING:
             raise ValueError(f"unknown scoring {self.scoring!r}")
-        if self.total_env_steps <= 0:
-            raise ValueError("total_env_steps must be positive")
-        if self.buffer_capacity <= 0:
-            raise ValueError("buffer_capacity must be positive")
-        if self.n_edits < 1:
-            raise ValueError("n_edits must be at least 1")
+        for name in ("total_env_steps", "buffer_capacity", "n_edits", "max_episode_steps",
+                     "hidden", "conv_filters", "adversary_conv_filters"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if self.torso not in ("mlp", "conv"):
+            raise ValueError(f"unknown torso {self.torso!r}")
         if self.width < 1 or self.height < 1:
             raise ValueError("width and height must be at least 1")
         if not 0 <= self.max_walls < self.width * self.height - 2:
             raise ValueError(f"max_walls must be in [0, {self.width * self.height - 2})")
         if self.view_size < 1 or self.view_size % 2 == 0:
             raise ValueError("view_size must be odd and at least 1")
-        if self.max_episode_steps < 1:
-            raise ValueError("max_episode_steps must be at least 1")
         if self.wall_budget < 0:
             raise ValueError("wall_budget must be non-negative")
         for name in ("replay_prob", "mutation_prob", "min_fill_ratio", "staleness_coeff"):

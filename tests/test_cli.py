@@ -96,7 +96,9 @@ def test_train_invalid_value_is_config_error(tmp_path, capsys):
     "change",
     [{"width": "a"}, {"ppo": {"n_envs": 0}}, {"ppo": {"gamma": "x"}},
      {"width": 0}, {"view_size": 4}, {"max_walls": -3}, {"max_episode_steps": 0},
-     {"algorithm": "paired", "wall_budget": -1}],
+     {"algorithm": "paired", "wall_budget": -1},
+     {"hidden": -2}, {"hidden": 0}, {"torso": "xyz"}, {"torso": "conv", "conv_filters": 0},
+     {"algorithm": "paired", "torso": "conv", "adversary_conv_filters": -1}],
 )
 def test_train_bad_field_fails_before_training(tmp_path, capsys, change):
     bad = dict(TINY)

@@ -3,10 +3,14 @@ differences, GAE against a naive reference, rollouts, Adam, PPO, and the
 binary checkpoint format."""
 
 import json
+import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ued_forge import rng as R
 from ued_forge.env_core import AutoReplayWrapper
@@ -22,6 +26,7 @@ from ued_forge.rl_core import (
     TrainingDivergedError,
     _forward_cached,
     _backward,
+    _im2col,
     _ppo_loss_grads,
     adam_step,
     annealed_lr,
@@ -100,6 +105,16 @@ def test_param_vector_round_trip():
     q = p.with_flat(vec * 2.0)
     assert np.allclose(q.flat(), vec * 2.0)
     assert np.allclose(p.flat(), vec)  # original untouched
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"hidden": 0}, {"n_actions": 0}, {"conv_filters": 0}, {"extra_dim": -1},
+     {"image_shape": (3, 0, 2)}, {"dtype": "int8"}, {"torso": "xyz"}, {"hidden": "x"}],
+)
+def test_net_config_rejects_bad_fields(change):
+    with pytest.raises((TypeError, ValueError)):
+        replace(MLP64, **change)
 
 
 def test_forward_shapes_and_validation():
@@ -537,6 +552,150 @@ def test_ppo_update_diverged_raises():
         ppo_update(params, traj, adv, bad, PpoConfig())
 
 
+# The PPO update as it was before the per-update workspace: every epoch
+# allocates each of its arrays anew. ppo_update must match it bit for bit.
+
+def _ref_forward(params, images, extras):
+    cfg, p, dt = params.config, params.layers, params.config.np_dtype
+    b = images.shape[0]
+    images = np.ascontiguousarray(images, dtype=dt)
+    extras = np.ascontiguousarray(extras, dtype=dt)
+    cache = {}
+    if cfg.torso == "conv":
+        cols = _im2col(images)
+        cols = cols.reshape(b, math.prod(cols.shape[1:3]), cols.shape[-1])
+        a0 = np.tanh(cols @ p["ck"].reshape(-1, cfg.conv_filters) + p["cb"])
+        cache.update(cols=cols, a0=a0)
+        feat = np.concatenate([a0.reshape(b, -1), extras], axis=1)
+    else:
+        feat = np.concatenate([images.reshape(b, -1), extras], axis=1)
+    h1 = np.tanh(feat @ p["w1"] + p["b1"])
+    h2 = np.tanh(h1 @ p["w2"] + p["b2"])
+    cache.update(feat=feat, h1=h1, h2=h2)
+    return h2 @ p["wp"] + p["bp"], (h2 @ p["wv"] + p["bv"])[:, 0], cache
+
+
+def _ref_backward(params, cache, dlogits, dvalues):
+    cfg, p = params.config, params.layers
+    h2, h1, feat = cache["h2"], cache["h1"], cache["feat"]
+    grads = {"wp": h2.T @ dlogits, "bp": dlogits.sum(axis=0),
+             "wv": h2.T @ dvalues[:, None], "bv": dvalues.sum(axis=0, keepdims=True)}
+    dh2 = dlogits @ p["wp"].T + dvalues[:, None] @ p["wv"].T
+    dz2 = dh2 * (1.0 - h2 * h2)
+    grads["w2"] = h1.T @ dz2
+    grads["b2"] = dz2.sum(axis=0)
+    dz1 = (dz2 @ p["w2"].T) * (1.0 - h1 * h1)
+    grads["w1"] = feat.T @ dz1
+    grads["b1"] = dz1.sum(axis=0)
+    if cfg.torso == "conv":
+        dfeat = dz1 @ p["w1"].T
+        n_conv = feat.shape[1] - cfg.extra_dim
+        dz0 = dfeat[:, :n_conv].reshape(cache["a0"].shape) * (1.0 - cache["a0"] ** 2)
+        grads["ck"] = np.einsum("bpk,bpf->kf", cache["cols"], dz0).reshape(p["ck"].shape)
+        grads["cb"] = dz0.sum(axis=(0, 1))
+    return grads
+
+
+def _ref_loss_grads(params, batch, config):
+    images, extras, acts, old_logp, old_values, adv, targets = batch
+    dt = params.config.np_dtype
+    b = images.shape[0]
+    eps = config.clip
+    logits, vals, cache = _ref_forward(params, images, extras)
+    z = logits - logits.max(axis=1, keepdims=True)
+    logp_all = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    pi = np.exp(logp_all)
+    rows = np.arange(b)
+    ratio = np.exp(logp_all[rows, acts] - old_logp)
+    unclipped = ratio * adv
+    clipped = np.clip(ratio, 1.0 - eps, 1.0 + eps) * adv
+    pg_loss = -np.minimum(unclipped, clipped).mean()
+    entropy_per = -(pi * logp_all).sum(axis=1)
+    entropy = entropy_per.mean()
+    v_clip = old_values + np.clip(vals - old_values, -eps, eps)
+    l_raw = (vals - targets) ** 2
+    l_clip = (v_clip - targets) ** 2
+    value_loss = 0.5 * np.maximum(l_raw, l_clip).mean()
+    total = pg_loss + config.vf_coeff * value_loss - config.ent_coeff * entropy
+    in_band = (ratio >= 1.0 - eps) & (ratio <= 1.0 + eps)
+    dratio = np.where(unclipped <= clipped, adv, np.where(in_band, adv, 0.0))
+    dlogp_a = (-(1.0 / b) * dratio * ratio).astype(dt)
+    one_hot = np.zeros_like(logp_all)
+    one_hot[rows, acts] = 1.0
+    dlogits = dlogp_a[:, None] * (one_hot - pi)
+    dH = -pi * (logp_all + entropy_per[:, None])
+    dlogits -= (config.ent_coeff / b) * dH
+    v_band = np.abs(vals - old_values) <= eps
+    dvals = np.where(l_raw >= l_clip, vals - targets, np.where(v_band, v_clip - targets, 0.0))
+    dvalues = (config.vf_coeff / b) * dvals
+    grads = _ref_backward(params, cache, dlogits.astype(dt), dvalues.astype(dt))
+    stats = {
+        "policy_loss": float(pg_loss),
+        "value_loss": float(value_loss),
+        "entropy": float(entropy),
+        "approx_kl": float(((ratio - 1.0) - np.log(ratio)).mean()),
+        "clip_fraction": float(np.mean(np.abs(ratio - 1.0) > eps)),
+        "total_loss": float(total),
+    }
+    return stats, grads
+
+
+def _ref_ppo_update(params, traj, advantages, targets, config, lr):
+    dt = params.config.np_dtype
+    b = traj.n_steps * traj.n_envs
+    adv = normalize_advantages(np.asarray(advantages, dtype=np.float64))
+    batch = (traj.images.reshape((b,) + tuple(params.config.image_shape)),
+             traj.extras.reshape(b, -1), traj.actions.reshape(b),
+             traj.log_probs.reshape(b).astype(dt), traj.values.reshape(b).astype(dt),
+             adv.reshape(b).astype(dt), np.asarray(targets, dtype=np.float64).reshape(b).astype(dt))
+    stats = {}
+    for _ in range(config.epochs):
+        stats, grads = _ref_loss_grads(params, batch, config)
+        params = adam_step(params, clip_grads(grads, config.max_grad_norm), lr, config.adam_eps)
+    return replace(params, updates=params.updates + 1), stats
+
+
+def synthetic_traj(params, seed, t_len=32, n=8):
+    """A trajectory whose log-probs and values are near the policy's own, so
+    that an update crosses both sides of the ratio and value clips."""
+    cfg = params.config
+    gen = R.generator(R.key_from_seed(seed))
+    img = gen.normal(0, 1, (t_len, n) + cfg.image_shape).astype(np.float32)
+    ext = gen.normal(0, 1, (t_len, n, cfg.extra_dim)).astype(np.float32)
+    logits, values = forward(params, img.reshape((-1,) + cfg.image_shape),
+                             ext.reshape(-1, cfg.extra_dim))
+    acts = gen.integers(0, cfg.n_actions, t_len * n)
+    logp = log_softmax(logits.astype(np.float64))[np.arange(t_len * n), acts]
+    return Trajectory(
+        images=img, extras=ext, actions=acts.reshape(t_len, n),
+        log_probs=(logp + gen.normal(0, 0.1, logp.size)).reshape(t_len, n),
+        values=(values + gen.normal(0, 0.3, values.size)).reshape(t_len, n),
+        rewards=gen.normal(0, 1, (t_len, n)).astype(np.float32),
+        dones=gen.random((t_len, n)) < 0.1,
+        bootstrap_values=gen.normal(0, 1, n),
+    )
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("cfg", [MLP64, CONV64], ids=["mlp", "conv"])
+def test_ppo_update_matches_allocating_reference(cfg, dtype):
+    # Two back-to-back updates on different trajectories of one shape: an
+    # input or temporary that outlived its update would change the second.
+    params = ref = make_params(replace(cfg, dtype=dtype), 8)
+    ppo = PpoConfig(epochs=3, ent_coeff=0.01)
+    for seed in (1, 2):
+        traj = synthetic_traj(params, seed)
+        adv, targets = compute_gae(traj, 0.99, 0.95)
+        params, stats = ppo_update(params, traj, adv, targets, ppo, lr=3e-2)
+        ref, ref_stats = _ref_ppo_update(ref, traj, adv, targets, ppo, lr=3e-2)
+        assert stats == ref_stats
+        assert 0.0 < stats["clip_fraction"] < 1.0
+        assert (params.adam_t, params.updates) == (ref.adam_t, ref.updates)
+        for k in cfg.param_names():
+            for a, b in ((params.layers, ref.layers), (params.m, ref.m), (params.v, ref.v)):
+                assert a[k].dtype == b[k].dtype and np.array_equal(a[k], b[k]), k
+
+
 # ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------
@@ -594,11 +753,56 @@ def _with_header(data: bytes, edit) -> bytes:
         lambda d: _with_header(d, lambda h: h.pop("config")),
         lambda d: _with_header(d, lambda h: h["config"].pop("extra_dim")),
         lambda d: _with_header(d, lambda h: h["config"].update(dropout=0.1)),
+        lambda d: _with_header(d, lambda h: h["params"].update(w2=[3, 12])),
+        lambda d: _with_header(d, lambda h: h["config"].update(hidden=3)),
+        lambda d: _with_header(d, lambda h: h.update(adam_t="x")),
+        lambda d: _with_header(d, lambda h: h.update(updates=-1)),
+        lambda d: _with_header(d, lambda h: h["config"].update(dtype="int8")),
+        lambda d: d[:8] + struct.pack("<I", 200_000) + b"[" * 100_000 + b"]" * 100_000,
     ],
-    ids=["short_header", "no_config", "no_extra_dim", "extra_config_key"],
+    ids=["short_header", "no_config", "no_extra_dim", "extra_config_key", "w2_shape",
+         "config_hidden", "adam_t_str", "updates_negative", "dtype_int8", "deep_json"],
 )
 def test_params_from_bytes_raises_checkpoint_error(mangle):
     data = params_to_bytes(make_params(MLP64))
     with pytest.raises(CheckpointError):
         params_from_bytes(mangle(data))
     assert issubclass(CheckpointError, ValueError)
+
+
+_VALID_CKPT = params_to_bytes(make_params(MLP64))
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=4),
+    max_leaves=8,
+)
+_HEADER_PATHS = [("version",), ("adam_t",), ("updates",), ("params",), ("params", "w1"),
+                 ("params", "bv"), ("config",)] + [("config", f) for f in
+                                                  ("image_shape", "extra_dim", "n_actions",
+                                                   "hidden", "torso", "conv_filters", "dtype")]
+
+
+def _set_path(header, path, value):
+    for key in path[:-1]:
+        header = header[key]
+    header[path[-1]] = value
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # fuzzed body bytes may be NaNs
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=64),
+    st.builds(lambda i, junk: _VALID_CKPT[:i] + junk + _VALID_CKPT[i + len(junk):],
+              st.integers(0, len(_VALID_CKPT)), st.binary(min_size=1, max_size=8)),
+    st.builds(lambda path, value: _with_header(_VALID_CKPT, lambda h: _set_path(h, path, value)),
+              st.sampled_from(_HEADER_PATHS), _JSON),
+))
+def test_params_from_bytes_fuzz(data):
+    # Any bytes either decode to a checkpoint that re-encodes to a valid one,
+    # or raise CheckpointError: no bare ValueError, TypeError or IndexError.
+    try:
+        params = params_from_bytes(data)
+    except CheckpointError:
+        return
+    assert params_from_bytes(params_to_bytes(params)).config == params.config
