@@ -61,7 +61,7 @@ def _cmd_train(args) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return 2
     try:

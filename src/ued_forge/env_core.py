@@ -89,6 +89,8 @@ class UnderspecifiedEnv(ABC):
 
         A batch encodes its rows from their states, so it may ignore the
         observation ``set_state`` passes; a rollout reads back states only.
+        Both maze envs have a batch form; for an env without one, a rollout
+        steps every row through :meth:`step`.
         """
         return None
 

@@ -25,10 +25,13 @@ is one gather from the level's class grid, which is framed by enough wall
 cells that no read needs a bounds check.
 
 :class:`MazeBatch` is the array form of :class:`MazeEnv` that rollouts step:
-N episodes as flat arrays (canvas, agent cell, direction, timestep, goal),
-observed by one gather and advanced by whole-array turns, moves and
-timeouts. An action that ends an episode leaves its row as it was, for
-:meth:`MazeEnv.step` (through any wrapper) to finish and reset.
+N episodes as flat arrays (one-hot canvas, agent cell, direction, timestep,
+goal), observed by one gather and advanced by one table lookup per row for
+the turn or move. An action that ends an episode leaves its row as it was,
+for :meth:`MazeEnv.step` (through any wrapper) to finish and reset.
+:class:`MazeEditorBatch` is the array form of :class:`MazeEditorEnv`: it
+toggles walls for all rows at once and leaves the placement edits and each
+episode's final edit to :meth:`MazeEditorEnv.step`.
 
 Also here: uniform level generation, atomic mutation, a breadth-first
 shortest-path field (the oracle used for solvability and greedy optimal
@@ -263,15 +266,20 @@ class MazeEnv(UnderspecifiedEnv):
 class MazeBatch:
     """Episodes of one :class:`MazeEnv` stepped together as arrays.
 
-    Row ``e`` holds one episode: its level's padded class grid in row ``e``
-    of the wall canvas ``cells`` (N, rows * row_len), sized to the largest
-    level, and the agent's cell (``pos``), direction (``dir``), timestep
-    (``t``) and goal cell (``goal``) as flat indices into that row. A view
-    or a forward move reads at most ``env.border`` cells off the level, so
-    every read stays inside the level's own padded grid: it needs no bounds
-    check, and cells a larger level left past that grid are never read.
-    See :meth:`UnderspecifiedEnv.batch` for the protocol.
+    Row ``e`` holds one episode: its level's padded class grid, one-hot, in
+    row ``e`` of the float32 canvas ``cells`` (N, rows * row_len, 3), sized
+    to the largest level; the agent's and the goal's cell (``at``, ``goal``)
+    as indices into the flattened canvas; the direction, the timestep and the
+    timestep that ends the episode (``dir``, ``t``, ``t_end``; ``t_end`` is 0
+    for a row loaded complete). A view or a forward move reads at most
+    ``env.border`` cells off the level, so every read stays inside the
+    level's own padded grid: it needs no bounds check, and cells a larger
+    level left past that grid are never read. See
+    :meth:`UnderspecifiedEnv.batch` for the protocol.
     """
+
+    # Indexed by direction * 3 + action: the direction after the action.
+    _TURNED = np.array([(d + turn) % 4 for d in range(4) for turn in (-1, 1, 0)])
 
     def __init__(self, env: MazeEnv, states):
         self.env = env
@@ -282,28 +290,28 @@ class MazeBatch:
         self.rows = max((g.shape[0] for g in grids), default=0)
         self.row_len = max((g.shape[1] for g in grids), default=0)
         n = len(states)
-        self.cells = np.full((n, self.rows * self.row_len), CH_WALL, dtype=np.uint8)
+        self.cells = np.tile(_EYE3[CH_WALL], (n, self.rows * self.row_len, 1))
+        self._flat = self.cells.reshape(-1, 3)
         self._base = np.arange(n) * self.rows * self.row_len
         self._view = _view_offsets(self.env.view_size, self.row_len)
-        self._ahead = np.array([-self.row_len, 1, self.row_len, -1])
+        # The canvas offset a step tries, by direction * 3 + action.
+        ahead = (-self.row_len, 1, self.row_len, -1)
+        self._moved = np.array([(0, 0, ahead[d]) for d in range(4)]).ravel()
         self.levels = [None] * n
-        self.pos = np.zeros(n, dtype=np.intp)
-        self.dir = np.zeros(n, dtype=np.intp)
-        self.t = np.zeros(n, dtype=np.intp)
-        self.goal = np.zeros(n, dtype=np.intp)
+        self.at, self.dir, self.t, self.t_end, self.goal = (
+            np.zeros(n, dtype=np.intp) for _ in range(5))
         for e, state in enumerate(states):
             self.set_state(e, state)
 
-    def _cell(self, rc: tuple[int, int]) -> int:
+    def _cell(self, e: int, rc: tuple[int, int]) -> int:
         b = self.env.border
-        return (rc[0] + b) * self.row_len + rc[1] + b
+        return self._base[e] + (rc[0] + b) * self.row_len + rc[1] + b
 
     def encode(self) -> tuple[np.ndarray, np.ndarray]:
         """Every row's observation as (images (N, V, V, 3), extras (N, 4))."""
         idx = np.take(self._view, self.dir, axis=0)
-        idx += (self._base + self.pos)[:, None, None]
-        cls = np.take(self.cells, idx)  # indexes the flattened canvas
-        return np.take(_EYE3, cls, axis=0), np.take(_EYE4, self.dir, axis=0)
+        idx += self.at[:, None, None]
+        return np.take(self._flat, idx, axis=0), np.take(_EYE4, self.dir, axis=0)
 
     def step(self, actions: np.ndarray) -> np.ndarray:
         """Apply one action per row. Returns the mask of rows whose episode
@@ -311,22 +319,21 @@ class MazeBatch:
         were; rows already complete or given an invalid action are in it
         too, so that :meth:`MazeEnv.step` rejects them."""
         actions = np.asarray(actions)
-        pos, d = self.pos, self.dir
-        ahead = pos + self._ahead[d]
-        free = np.take(self.cells, self._base + ahead) != CH_WALL
-        new_pos = np.where((actions == A_FORWARD) & free, ahead, pos)
+        k = self.dir * 3 + actions  # out of range only with an invalid action
+        ahead = self.at + np.take(self._moved, k, mode="clip")
+        at = np.where(self._flat[ahead, CH_WALL] > 0, self.at, ahead)
         t = self.t + 1
-        ends = ((new_pos == self.goal) | (pos == self.goal) | (t >= self.env.max_steps)
+        ends = ((at == self.goal) | (t >= self.t_end)
                 | (actions < 0) | (actions > A_FORWARD))
         live = ~ends
-        self.pos = np.where(live, new_pos, pos)
-        self.dir = np.where(live, (d + (actions == A_RIGHT) - (actions == A_LEFT)) % 4, d)
-        self.t = np.where(live, t, self.t)
+        np.copyto(self.at, at, where=live)
+        np.copyto(self.dir, np.take(self._TURNED, k, mode="clip"), where=live)
+        np.copyto(self.t, t, where=live)
         return ends
 
     def state(self, e: int) -> MazeState:
         b = self.env.border
-        r, c = divmod(int(self.pos[e]), self.row_len)
+        r, c = divmod(int(self.at[e] - self._base[e]), self.row_len)
         return MazeState(self.levels[e], (r - b, c - b), int(self.dir[e]), int(self.t[e]))
 
     def set_state(self, e: int, state: MazeState, observation=None) -> None:
@@ -340,12 +347,13 @@ class MazeBatch:
                 states = [self.state(i) for i in range(len(self.levels))]
                 states[e] = state
                 return self._load(states)
-            self.cells[e].reshape(self.rows, self.row_len)[:h, :w] = grid
+            self.cells[e].reshape(self.rows, self.row_len, 3)[:h, :w] = _EYE3[grid]
             self.levels[e] = level
-            self.goal[e] = self._cell(level.goal_pos)
-        self.pos[e] = self._cell(state.agent_pos)
+            self.goal[e] = self._cell(e, level.goal_pos)
+        self.at[e] = self._cell(e, state.agent_pos)
         self.dir[e] = state.agent_dir
         self.t[e] = state.timestep
+        self.t_end[e] = 0 if state.agent_pos == level.goal_pos else self.env.max_steps
 
 
 # ---------------------------------------------------------------------------
@@ -581,17 +589,68 @@ class MazeEditorEnv(UnderspecifiedEnv):
                 return (cell // self.width, cell % self.width)
 
     def observe(self, state: EditorState) -> EditorObservation:
-        level = state.level
-        cls = np.where(level.walls, ECH_WALL, ECH_EMPTY)
-        cls[level.goal_pos] = ECH_GOAL
-        cls[level.agent_pos] = ECH_AGENT
-        return EditorObservation(
-            grid=_EYE4[cls],
-            progress=state.edit_index / (state.budget + 2),
-        )
+        grid, _ = MazeEditorBatch(self, [state]).encode()
+        return EditorObservation(grid=grid[0], progress=state.edit_index / (state.budget + 2))
 
     def encode_observation(self, obs: EditorObservation):
         return obs.grid, np.array([obs.progress], dtype=np.float32)
+
+    def batch(self, states) -> MazeEditorBatch:
+        return MazeEditorBatch(self, states)
+
+
+class MazeEditorBatch:
+    """Levels of one :class:`MazeEditorEnv` under construction, as arrays:
+    flat walls (N, H*W), goal and agent cells, agent direction, edit index
+    and budget per row. Wall toggles step as whole-array ops. Placement
+    edits (which draw from the generator), an episode's final edit, complete
+    rows and invalid actions are left for :meth:`MazeEditorEnv.step`, the
+    one placement rule. See :meth:`UnderspecifiedEnv.batch` for the protocol.
+    """
+
+    def __init__(self, env: MazeEditorEnv, states):
+        self.env = env
+        n = len(states)
+        self.walls = np.zeros((n, env.num_actions), dtype=np.bool_)
+        self.goal, self.agent, self.dir, self.edit, self.budget = (
+            np.zeros(n, dtype=np.intp) for _ in range(5))
+        for e, state in enumerate(states):
+            self.set_state(e, state)
+
+    def encode(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every row's observation as (images (N, H, W, 4), extras (N, 1))."""
+        cls = self.walls.astype(np.uint8)  # ECH_EMPTY is 0, ECH_WALL is 1
+        rows = np.arange(len(cls))
+        cls[rows, self.goal] = ECH_GOAL
+        cls[rows, self.agent] = ECH_AGENT  # over the goal, if they share a cell
+        images = np.take(_EYE4, cls, axis=0).reshape(len(cls), self.env.height, self.env.width, 4)
+        return images, (self.edit / (self.budget + 2)).astype(np.float32)[:, None]
+
+    def step(self, actions: np.ndarray) -> np.ndarray:
+        """Toggle one wall per row, except on the rows in the returned mask
+        (see the class docstring), which are left as they were."""
+        actions = np.asarray(actions)
+        ends = ((self.edit < 2) | (self.edit + 1 >= self.budget + 2)
+                | (actions < 0) | (actions >= self.walls.shape[1]))
+        live = ~ends
+        toggled = np.flatnonzero(live & (actions != self.agent) & (actions != self.goal))
+        self.walls[toggled, actions[toggled]] ^= True
+        self.edit += live
+        return ends
+
+    def state(self, e: int) -> EditorState:
+        w, h = self.env.width, self.env.height
+        level = MazeLevel(w, h, self.walls[e].reshape(h, w).copy(), divmod(int(self.agent[e]), w),
+                          int(self.dir[e]), divmod(int(self.goal[e]), w))
+        return EditorState(level, int(self.edit[e]), int(self.budget[e]))
+
+    def set_state(self, e: int, state: EditorState, observation=None) -> None:
+        """Load ``state`` into row ``e``; ``observation`` is not needed."""
+        level = state.level
+        (gr, gc), (ar, ac), w = level.goal_pos, level.agent_pos, level.width
+        self.walls[e] = level.walls.ravel()
+        self.goal[e], self.agent[e], self.dir[e] = gr * w + gc, ar * w + ac, level.agent_dir
+        self.edit[e], self.budget[e] = state.edit_index, state.budget
 
 
 # ---------------------------------------------------------------------------

@@ -21,14 +21,16 @@ the inputs that every epoch reads are built once, and every (B, hidden) or
 Rollouts step a batch of environments for a fixed number of steps, sampling
 actions from the policy. Each environment owns an independent random stream
 derived by key splitting, so a trajectory depends only on its key. One loop
-serves every env: each step encodes all observations, runs one forward pass,
-samples every action at once by inverse CDF (one uniform per env) and
-advances the env's array form (:meth:`UnderspecifiedEnv.batch`). The rows
-whose episode ends, and every row of an env without an array form, step
-through the env's own ``step``, so auto-resetting wrappers still pay the
-terminal reward and draw the next level from that env's stream. A rollout
-returns the trajectory and the final states; only an env without an array
-form needs the starting observations.
+serves every env: each step encodes all observations, runs one forward pass
+per policy, samples every action at once by inverse CDF (one uniform per
+env) and advances the env's array form (:meth:`UnderspecifiedEnv.batch`).
+The rows whose episode ends, and every row of an env without an array form,
+step through the env's own ``step``, so auto-resetting wrappers still pay
+the terminal reward and draw the next level from that env's stream. Several
+policies can share one rollout, each acting on its own group of rows (the
+PAIRED students on the same levels). A rollout returns the trajectory and
+the final states; only an env without an array form needs the starting
+observations.
 """
 
 from __future__ import annotations
@@ -455,58 +457,89 @@ def rollout(
     starting observations; they may be None when ``env`` has a batch form,
     which encodes the states itself. Each env consumes its own split of
     ``key``: one uniform per step for its action, then whatever ``env.step``
-    draws.
+    draws. ``params`` and ``key`` may also be sequences of G policies and
+    keys: the states then form G equal, contiguous groups, each acting and
+    drawing exactly as a rollout of its own states would, and the result is
+    (list of G trajectories, list of G final-state lists).
     """
-    n = len(states)
-    cfg = params.config
-    gens = [rng_mod.generator(k) for k in rng_mod.split(key, n)]
+    grouped = not isinstance(params, ActorCriticParams)
+    policies, keys = (list(params), list(key)) if grouped else ([params], [key])
+    if not policies or len(keys) != len(policies) or len(states) % len(policies):
+        raise ValueError(f"{len(states)} states do not split into equal groups for "
+                         f"{len(policies)} policies with {len(keys)} keys")
+    n_groups, n_all = len(policies), len(states)
+    n = n_all // n_groups
+    groups = [slice(g * n, (g + 1) * n) for g in range(n_groups)]
+    cfg = policies[0].config
+    gens = [rng_mod.generator(k) for group_key in keys for k in rng_mod.split(group_key, n)]
     batch = env.batch(states)
     if batch is None:
         batch = _EnvRows(env, states, observations, cfg)
 
-    images = np.zeros((n_steps, n) + tuple(cfg.image_shape), dtype=np.float32)
-    extras = np.zeros((n_steps, n, cfg.extra_dim), dtype=np.float32)
-    actions = np.zeros((n_steps, n), dtype=np.int64)
-    log_probs = np.zeros((n_steps, n), dtype=np.float64)
-    values = np.zeros((n_steps, n), dtype=np.float64)
-    rewards = np.zeros((n_steps, n), dtype=np.float32)
-    dones = np.zeros((n_steps, n), dtype=np.bool_)
-    rows = np.arange(n)
+    # Group-major, so that each group's trajectory is a contiguous view.
+    lead = (n_groups, n_steps, n)
+    images = np.zeros(lead + tuple(cfg.image_shape), dtype=np.float32)
+    extras = np.zeros(lead + (cfg.extra_dim,), dtype=np.float32)
+    actions = np.zeros(lead, dtype=np.int64)
+    log_probs = np.zeros(lead, dtype=np.float64)
+    values = np.zeros(lead, dtype=np.float64)
+    rewards = np.zeros(lead, dtype=np.float32)
+    dones = np.zeros(lead, dtype=np.bool_)
+    logits = np.zeros((n_all, cfg.n_actions), dtype=np.float64)
+    rows = np.arange(n_all)
+    # A row the batch stepped draws the rest of its uniforms in one call,
+    # which gives the doubles of one call per step (Philox). Before the row
+    # steps through ``env.step``, its generator goes back to the block's start
+    # and redraws the part used, so ``env.step`` finds it where it would.
+    uniforms = np.zeros((n_steps, n_all))
+    block = [None] * n_all  # (first step, generator state) of a row's block
+    draw_one, draw_block = list(range(n_all)), []
 
     for t in range(n_steps):
         img, ext = batch.encode()
-        images[t] = img
-        extras[t] = ext
-        logits, vals = forward(params, img, ext)
-        values[t] = vals
-        logp = log_softmax(logits.astype(np.float64))
+        images[:, t] = img.reshape(images.shape[:1] + images.shape[2:])
+        extras[:, t] = ext.reshape(extras.shape[:1] + extras.shape[2:])
+        for g, rows_g in enumerate(groups):
+            logits[rows_g], values[g, t] = forward(policies[g], img[rows_g], ext[rows_g])
+        logp = log_softmax(logits)
+        for e in draw_one:
+            uniforms[t, e] = gens[e].random()
+        for e in draw_block:
+            block[e] = (t, gens[e].bit_generator.state)
+            uniforms[t:, e] = gens[e].random(n_steps - t)
         # Inverse-CDF sampling: the action is the number of cumulative
         # probabilities at or below u times their total.
-        u = np.array([g.random() for g in gens])
         cdf = np.cumsum(np.exp(logp), axis=1)
-        a = np.minimum((cdf <= (u * cdf[:, -1])[:, None]).sum(axis=1), logp.shape[1] - 1)
-        actions[t] = a
-        log_probs[t] = logp[rows, a]
+        a = np.minimum((cdf <= (uniforms[t] * cdf[:, -1])[:, None]).sum(axis=1),
+                       logp.shape[1] - 1)
+        actions[:, t] = a.reshape(n_groups, n)
+        log_probs[:, t] = logp[rows, a].reshape(n_groups, n)
         # Rows the batch did not advance (episode ends, and every row of an
         # env without a batch form) step through the env itself.
-        for e in np.flatnonzero(batch.step(a)):
+        ends = batch.step(a)
+        draw_block = [e for e in draw_one if not ends[e]]
+        draw_one = np.flatnonzero(ends).tolist()
+        for e in draw_one:
+            if block[e] is not None:
+                first, block_state = block[e]
+                gens[e].bit_generator.state = block_state
+                gens[e].random(t + 1 - first)
+                block[e] = None
             res = env.step(batch.state(e), int(a[e]), gens[e])
             batch.set_state(e, res.state, res.observation)
-            rewards[t, e] = res.reward
-            dones[t, e] = res.done
+            g, i = divmod(e, n)
+            rewards[g, t, i] = res.reward
+            dones[g, t, i] = res.done
 
-    _, bootstrap = forward(params, *batch.encode())
-    traj = Trajectory(
-        images=images,
-        extras=extras,
-        actions=actions,
-        log_probs=log_probs,
-        values=values,
-        rewards=rewards,
-        dones=dones,
-        bootstrap_values=np.asarray(bootstrap, dtype=np.float64),
-    )
-    return traj, [batch.state(e) for e in rows]
+    img, ext = batch.encode()
+    trajs = [Trajectory(images[g], extras[g], actions[g], log_probs[g], values[g], rewards[g],
+                        dones[g], np.asarray(forward(policies[g], img[rows_g], ext[rows_g])[1],
+                                             dtype=np.float64))
+             for g, rows_g in enumerate(groups)]
+    final = [batch.state(e) for e in rows]
+    if not grouped:
+        return trajs[0], final
+    return trajs, [final[rows_g] for rows_g in groups]
 
 
 # ---------------------------------------------------------------------------

@@ -362,18 +362,22 @@ class RunState:
     adversary: ActorCriticParams | None = None
 
 
-def rollout_on_levels(config: UedConfig, env, params: ActorCriticParams, levels,
-                      key: rng_mod.Key):
-    """Reset one env per level, collect a fixed-length batched rollout, and
-    return it with its GAE advantages and value targets."""
-    k_reset, k_roll = rng_mod.split(key)
-    states, observations = zip(*(
-        env.reset_to_level(level, rng_mod.generator(k))
-        for level, k in zip(levels, rng_mod.split(k_reset, len(levels)))
-    ))
-    traj, _ = rollout(env, params, states, observations, config.ppo.rollout_steps, k_roll)
-    adv, targets = compute_gae(traj, config.ppo.gamma, config.ppo.gae_lambda)
-    return traj, adv, targets
+def rollout_on_levels(config: UedConfig, env, policies: list, levels, keys: list) -> list:
+    """For each policy and its key, reset one env per level; collect one
+    fixed-length batched rollout of all policies, and return each policy's
+    (trajectory, GAE advantages, value targets)."""
+    states, observations, roll_keys = [], [], []
+    for key in keys:
+        k_reset, k_roll = rng_mod.split(key)
+        roll_keys.append(k_roll)
+        for level, k in zip(levels, rng_mod.split(k_reset, len(levels))):
+            state, obs = env.reset_to_level(level, rng_mod.generator(k))
+            states.append(state)
+            observations.append(obs)
+    trajs, _ = rollout(env, policies, states, observations, config.ppo.rollout_steps,
+                       roll_keys)
+    return [(traj, *compute_gae(traj, config.ppo.gamma, config.ppo.gae_lambda))
+            for traj in trajs]
 
 
 def _episode_metrics(traj: Trajectory) -> dict:
@@ -421,7 +425,7 @@ def _on_fresh_levels(config: UedConfig, env, state: RunState, levels, key: rng_m
                      op: str, train: bool):
     """Roll out on levels new to the buffer, score them with no prior, train
     on them if ``train``, and insert them."""
-    traj, adv, targets = rollout_on_levels(config, env, state.params, levels, key)
+    [(traj, adv, targets)] = rollout_on_levels(config, env, [state.params], levels, [key])
     scores, extras = _score_trajectory(config, traj, adv, prior_max=None)
     metrics = {"cycle_type": op, "trained": False}
     if train:
@@ -458,7 +462,7 @@ def on_replay_levels(config: UedConfig, env, state: RunState, key: rng_mod.Key):
         state.buffer, _sampler_config(config), rng_mod.generator(k_sample),
         config.ppo.n_envs,
     )
-    traj, adv, targets = rollout_on_levels(config, env, state.params, levels, k_roll)
+    [(traj, adv, targets)] = rollout_on_levels(config, env, [state.params], levels, [k_roll])
     if config.scoring == "maxmc":
         prior = np.array(
             [buffer.extras[i].get("max_return", 0.0) for i in indices],
@@ -576,18 +580,16 @@ def _paired_cycle(config: UedConfig):
         lr = _lr_for_cycle(config, state.cycle)
 
         # Adversary builds one level per env, one edit per step.
-        ed_states, ed_obs = zip(*(editor_env.reset_to_level(canvas, None) for _ in range(n)))
+        ed_states = [editor_env.reset_to_level(canvas, None)[0] for _ in range(n)]
         ed_traj, ed_states = rollout(
-            editor_env, state.adversary, ed_states, ed_obs,
-            editor_env.episode_steps, k_ed,
+            editor_env, state.adversary, ed_states, None, editor_env.episode_steps, k_ed
         )
         levels = [s.level for s in ed_states]
 
-        pro_traj, pro_adv, pro_tgt = rollout_on_levels(
-            config, student_env, state.params, levels, k_pro_roll
-        )
-        ant_traj, ant_adv, ant_tgt = rollout_on_levels(
-            config, student_env, state.antagonist, levels, k_ant_roll
+        # Both students play the built levels in one rollout.
+        (pro_traj, pro_adv, pro_tgt), (ant_traj, ant_adv, ant_tgt) = rollout_on_levels(
+            config, student_env, [state.params, state.antagonist], levels,
+            [k_pro_roll, k_ant_roll],
         )
         regret = _regret(pro_traj, ant_traj, regret_gamma)
 
@@ -685,7 +687,7 @@ def _open_metrics(out_dir: str | None, cycle: int):
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 kept = [line for line in fh if json.loads(line)["cycle"] <= cycle]
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise UedError(f"cannot extend {path}: {exc}") from exc
     fh = open(path, "w", encoding="utf-8", newline="\n")
     fh.writelines(kept)
@@ -840,7 +842,7 @@ def load_run_state(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise UedError(f"run state is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise UedError("run state must be a JSON object")

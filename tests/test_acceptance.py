@@ -358,6 +358,7 @@ def dr_smoke():
     return smoke_solve_rate(res.params), time.time() - t0
 
 
+@pytest.mark.smoke
 def test_criterion_08a_dr_smoke(dr_smoke):
     """2e6 env steps of uniform level generation on 9x9 mazes solve at
     least 80% of the 10-level easy holdout (sampled 10-episode eval)."""
@@ -369,6 +370,7 @@ def test_criterion_08a_dr_smoke(dr_smoke):
            f"{solve:.2f} (>= 0.8; baseline 1.00)")
 
 
+@pytest.mark.smoke
 def test_criterion_08b_plr_smoke(dr_smoke):
     """Prioritized replay under the same budget lands within 0.1 of (or
     above) the uniform-generation solve rate."""
@@ -383,6 +385,7 @@ def test_criterion_08b_plr_smoke(dr_smoke):
            f"rate {solve:.2f} vs uniform {dr_solve:.2f} (within 0.1 or above)")
 
 
+@pytest.mark.smoke
 def test_criterion_08c_paired_smoke():
     """200 adversary iterations finish with finite losses and nonzero mean
     regret over iterations 51..200."""

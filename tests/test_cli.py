@@ -82,6 +82,13 @@ def test_train_bad_json_is_config_error(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_train_deeply_nested_json_is_config_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert main(["train", "--config", str(path)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+
+
 def test_train_missing_config_file(tmp_path, capsys):
     assert main(["train", "--config", str(tmp_path / "none.json")]) == 2
     assert "cannot read config" in capsys.readouterr().err

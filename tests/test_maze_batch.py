@@ -1,6 +1,7 @@
-"""The array form of the maze env against the per-env reference: MazeBatch
-rows against MazeEnv.step/observe, and rollouts through the batch against
-rollouts of the same envs stepped one by one."""
+"""The array forms of the maze envs against the per-env reference: MazeBatch
+rows against MazeEnv.step/observe, MazeEditorBatch rows against
+MazeEditorEnv.step/observe, and rollouts through the batch against rollouts
+of the same envs stepped one by one."""
 
 import numpy as np
 import pytest
@@ -17,6 +18,12 @@ from ued_forge.env_core import (
 from ued_forge.maze import (
     A_FORWARD,
     A_LEFT,
+    ECH_AGENT,
+    ECH_EMPTY,
+    ECH_GOAL,
+    ECH_WALL,
+    EditorState,
+    MazeEditorEnv,
     MazeEnv,
     MazeLevel,
     generate_random_level,
@@ -88,8 +95,83 @@ def test_batch_marks_complete_rows_and_bad_actions():
     env = MazeEnv(max_steps=5, view_size=3)
     start = env.reset_to_level(parse_level(">G.\n"))[0]
     done = env.step(start, A_FORWARD).state  # on the goal, facing a free cell
-    batch = env.batch([start, done, start])
-    assert batch.step(np.array([A_LEFT, A_FORWARD, 3])).tolist() == [False, True, True]
+    batch = env.batch([start, done, start, start])
+    assert batch.step(np.array([A_LEFT, A_FORWARD, 3, -1])).tolist() == [False, True, True, True]
+
+
+@st.composite
+def editor_states(draw, env):
+    """A canvas of ``env``'s size at any edit index of any budget, complete
+    episodes included."""
+    n = env.width * env.height
+    agent, goal = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    walls = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    walls[[agent, goal]] = False
+    level = MazeLevel(env.width, env.height, walls.reshape(env.height, env.width),
+                      divmod(agent, env.width), draw(st.integers(0, 3)), divmod(goal, env.width))
+    budget = draw(st.integers(0, 4))
+    return EditorState(level, draw(st.integers(0, budget + 2)), budget)
+
+
+def reference_editor_view(state):
+    """The editor observation, encoded, derived without the batch."""
+    level = state.level
+    cls = np.where(level.walls, ECH_WALL, ECH_EMPTY)
+    cls[level.goal_pos] = ECH_GOAL
+    cls[level.agent_pos] = ECH_AGENT
+    progress = np.array([state.edit_index / (state.budget + 2)], dtype=np.float32)
+    return np.eye(4, dtype=np.float32)[cls], progress
+
+
+def assert_editor_rows_match(batch, env, states):
+    images, extras = batch.encode()
+    assert images.shape[0] == extras.shape[0] == len(states)
+    for e, state in enumerate(states):
+        assert batch.state(e) == state
+        image, extra = reference_editor_view(state)
+        for got in ((images[e], extras[e]), env.encode_observation(env.observe(state))):
+            assert got[0].dtype == image.dtype and got[0].tobytes() == image.tobytes()
+            assert got[1].dtype == extra.dtype and got[1].tobytes() == extra.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=st.sampled_from([(1, 2), (2, 1), (3, 3), (4, 2), (5, 5)]), data=st.data())
+def test_editor_batch_rows_match_env_step(shape, data):
+    env = MazeEditorEnv(width=shape[0], height=shape[1], wall_budget=3)
+    n_cells = env.num_actions
+    states = data.draw(st.lists(editor_states(env), min_size=1, max_size=4))
+    batch = env.batch(states)
+    gen = R.generator(R.key_from_seed(data.draw(st.integers(0, 99))))
+    for _ in range(data.draw(st.integers(1, 12))):
+        assert_editor_rows_match(batch, env, states)
+        # Invalid actions, and placements and toggles on the agent and goal cells.
+        actions = np.array([data.draw(st.one_of(
+            st.integers(-2, n_cells + 1),
+            st.sampled_from([s.level.agent_pos[0] * env.width + s.level.agent_pos[1],
+                             s.level.goal_pos[0] * env.width + s.level.goal_pos[1]])))
+            for s in states])
+        ends = batch.step(actions)
+        for e, state in enumerate(states):
+            a = int(actions[e])
+            edit, budget = state.edit_index, state.budget
+            assert ends[e] == (edit < 2 or edit + 1 >= budget + 2 or not 0 <= a < n_cells)
+            if not ends[e]:
+                res = env.step(state, a, None)  # a wall toggle draws nothing
+                assert not res.done
+                states[e] = res.state
+                continue
+            # A masked row is left as it was; the caller steps it.
+            assert batch.state(e) == state
+            if edit >= budget + 2 or not 0 <= a < n_cells:
+                with pytest.raises(EnvError):
+                    env.step(state, a, gen)
+                states[e] = EditorState(state.level, 0, budget)
+            else:
+                res = env.step(state, a, gen)
+                assert res.done == (edit + 1 >= budget + 2)
+                states[e] = res.state
+            batch.set_state(e, states[e])
+    assert_editor_rows_match(batch, env, states)
 
 
 class PerEnv(UnderspecifiedEnv):

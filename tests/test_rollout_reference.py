@@ -1,0 +1,170 @@
+"""Rollouts against the loop they replaced: every env stepped through
+``env.step`` with one scalar uniform per env and step. Row groups, array
+forms and uniforms drawn in blocks must leave every byte of the trajectory
+and every final state as that loop makes them."""
+
+import numpy as np
+import pytest
+
+from ued_forge import rng as R
+from ued_forge.env_core import AutoReplayWrapper, AutoResetWrapper, WrappedState
+from ued_forge.maze import (
+    EditorState,
+    MazeEditorEnv,
+    MazeEnv,
+    MazeState,
+    empty_level,
+    generate_random_level,
+    parse_level,
+)
+from ued_forge.rl_core import (
+    NetConfig,
+    Trajectory,
+    forward,
+    init_params,
+    log_softmax,
+    rollout,
+)
+from test_maze_batch import PerEnv, mixed_size_level
+
+FIELDS = ("images", "extras", "actions", "log_probs", "values", "rewards", "dones",
+          "bootstrap_values")
+
+
+def reference_rollout(env, params, states, observations, n_steps, key):
+    """The rollout loop with one scalar draw per env and step, and every
+    env stepped through ``env.step``."""
+    n, cfg = len(states), params.config
+    gens = [R.generator(k) for k in R.split(key, n)]
+    states, observations = list(states), list(observations)
+    images = np.zeros((n_steps, n) + tuple(cfg.image_shape), dtype=np.float32)
+    extras = np.zeros((n_steps, n, cfg.extra_dim), dtype=np.float32)
+    actions = np.zeros((n_steps, n), dtype=np.int64)
+    log_probs = np.zeros((n_steps, n), dtype=np.float64)
+    values = np.zeros((n_steps, n), dtype=np.float64)
+    rewards = np.zeros((n_steps, n), dtype=np.float32)
+    dones = np.zeros((n_steps, n), dtype=np.bool_)
+
+    def encode():
+        img = np.zeros((n,) + tuple(cfg.image_shape), dtype=np.float32)
+        ext = np.zeros((n, cfg.extra_dim), dtype=np.float32)
+        for e, obs in enumerate(observations):
+            img[e], ext[e] = env.encode_observation(obs)
+        return img, ext
+
+    for t in range(n_steps):
+        img, ext = encode()
+        images[t] = img
+        extras[t] = ext
+        logits, vals = forward(params, img, ext)
+        values[t] = vals
+        logp = log_softmax(logits.astype(np.float64))
+        u = np.array([g.random() for g in gens])
+        cdf = np.cumsum(np.exp(logp), axis=1)
+        a = np.minimum((cdf <= (u * cdf[:, -1])[:, None]).sum(axis=1), logp.shape[1] - 1)
+        actions[t] = a
+        log_probs[t] = logp[np.arange(n), a]
+        for e in range(n):
+            res = env.step(states[e], int(a[e]), gens[e])
+            states[e], observations[e] = res.state, res.observation
+            rewards[t, e] = res.reward
+            dones[t, e] = res.done
+
+    _, bootstrap = forward(params, *encode())
+    traj = Trajectory(images, extras, actions, log_probs, values, rewards, dones,
+                      np.asarray(bootstrap, dtype=np.float64))
+    return traj, states
+
+
+def assert_same(got, want):
+    (traj, states), (ref, ref_states) = got, want
+    for field in FIELDS:
+        a, b = getattr(traj, field), getattr(ref, field)
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert a.tobytes() == b.tobytes(), field
+    assert states == ref_states
+
+
+MAX_STEPS = 9
+WALLED_OFF = parse_level("^#G\n")  # ends only by timing out
+
+
+def maze_starts(n_steps, gen):
+    """Maze states: one that times out at step 0, one that times out at the
+    last step (its goal is walled off) and fresh episodes on random levels."""
+    levels = [WALLED_OFF, WALLED_OFF] + [mixed_size_level(gen) for _ in range(4)]
+    steps = [MAX_STEPS - 1, -n_steps % MAX_STEPS, 0, 0, 0, 0]
+    return [MazeState(lv, lv.agent_pos, lv.agent_dir, t) for lv, t in zip(levels, steps)]
+
+
+def editor_starts(env, n_steps, gen, wrapped):
+    """Editor states: fresh canvases, and rows whose final edit falls on the
+    first and on the last step. Without a wrapper nothing restarts an
+    episode, so no row may run out of edits first."""
+    canvases = [empty_level(env.width, env.height)] + [
+        generate_random_level(gen, env.width, env.height, 4) for _ in range(3)]
+    last = env.episode_steps - 1
+    edits = [0, 0, -n_steps % env.episode_steps, last if wrapped or n_steps <= 1 else 0]
+    return [EditorState(c, i, env.wall_budget) for c, i in zip(canvases, edits)]
+
+
+def case(name, n_steps, seed):
+    """(env, params, starting states, starting observations) for ``name``."""
+    gen = R.generator(R.key_from_seed(seed + 50))
+    maze = MazeEnv(max_steps=MAX_STEPS, view_size=3)
+    if name in ("reset", "replay", "per_env"):
+        env = (AutoReplayWrapper(maze) if name == "replay"
+               else AutoResetWrapper(maze, mixed_size_level))
+        inner = maze_starts(n_steps, gen)
+        states = [WrappedState(s, s.level) for s in inner]
+        observations = [maze.observe(s) for s in inner]
+        cfg = NetConfig(image_shape=(3, 3, 3), extra_dim=4, n_actions=3, hidden=8)
+        if name == "per_env":
+            env = PerEnv(env)
+    else:
+        editor = MazeEditorEnv(width=4, height=3, wall_budget=4)
+        wrapped = name == "editor_replay"
+        inner = editor_starts(editor, n_steps, gen, wrapped)
+        observations = [editor.observe(s) for s in inner]
+        env, states = ((AutoReplayWrapper(editor), [WrappedState(s, s.level) for s in inner])
+                       if wrapped else (editor, inner))
+        cfg = NetConfig(image_shape=(3, 4, 4), extra_dim=1, n_actions=12, hidden=8)
+    return env, init_params(R.generator(R.key_from_seed(seed)), cfg), states, observations
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 3, 40])
+@pytest.mark.parametrize("name", ["reset", "replay", "per_env", "editor", "editor_replay"])
+def test_rollout_matches_scalar_draw_reference(name, n_steps):
+    if name == "editor":
+        n_steps = min(n_steps, MazeEditorEnv(width=4, height=3, wall_budget=4).episode_steps)
+    env, params, states, observations = case(name, n_steps, seed=n_steps)
+    key = R.key_from_seed(7 + n_steps)
+    got = rollout(env, params, states, observations, n_steps, key)
+    want = reference_rollout(env, params, states, observations, n_steps, key)
+    assert_same(got, want)
+    if n_steps in (1, 3):  # an unwrapped editor row cannot end at step 0 and go on
+        assert want[0].dones[-1].any()
+        assert want[0].dones[0].any() or (name == "editor" and n_steps > 1)
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 3, 40])
+@pytest.mark.parametrize("name", ["reset", "editor_replay", "per_env"])
+def test_two_policy_rollout_matches_two_rollouts(name, n_steps):
+    env, p0, states, observations = case(name, n_steps, seed=1)
+    p1 = init_params(R.generator(R.key_from_seed(2)), p0.config)
+    keys = [R.key_from_seed(3), R.key_from_seed(4)]
+    trajs, finals = rollout(env, [p0, p1], states * 2, observations * 2, n_steps, keys)
+    assert len(trajs) == len(finals) == 2
+    for traj, final, params, key in zip(trajs, finals, (p0, p1), keys):
+        single = rollout(env, params, states, observations, n_steps, key)
+        assert_same((traj, final), single)
+        assert_same(single, reference_rollout(env, params, states, observations, n_steps, key))
+        assert traj.images.flags.c_contiguous and traj.actions.flags.c_contiguous
+
+
+def test_rollout_rejects_unequal_groups():
+    env, params, states, observations = case("replay", 3, seed=0)
+    with pytest.raises(ValueError, match="group"):
+        rollout(env, [params, params], states[:5], observations[:5], 3, [1, 2])
+    with pytest.raises(ValueError, match="group"):
+        rollout(env, [params, params], states, observations, 3, [1])

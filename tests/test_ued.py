@@ -481,6 +481,21 @@ def test_run_state_rejects_bad_file(tmp_path):
         load_run_state(bad)
 
 
+def test_run_state_rejects_deeply_nested_json(tmp_path):
+    bad = tmp_path / "state.json"
+    bad.write_text("[" * 100000 + "]" * 100000)
+    with pytest.raises(UedError, match="not valid JSON"):
+        load_run_state(bad)
+
+
+def test_resume_rejects_deeply_nested_metrics_line(tmp_path):
+    run = tmp_path / "run"
+    train(tiny_config(), seed=3, out_dir=str(run), max_cycles=1)
+    (run / "metrics.jsonl").write_text("[" * 100000 + "]" * 100000 + "\n")
+    with pytest.raises(UedError, match="cannot extend"):
+        resume_run(run / "state.json", out_dir=str(run))
+
+
 def _agent_on_wall(env_state):
     rows = env_state["inner_level"].split("\n")
     r, c = next((r, c) for r, row in enumerate(rows) for c, ch in enumerate(row) if ch == ".")
