@@ -271,7 +271,7 @@ class MazeBatch:
     to the largest level; the agent's and the goal's cell (``at``, ``goal``)
     as indices into the flattened canvas; the direction, the timestep and the
     timestep that ends the episode (``dir``, ``t``, ``t_end``; ``t_end`` is 0
-    for a row loaded complete). A view or a forward move reads at most
+    for a row loaded at its goal). A view or a forward move reads at most
     ``env.border`` cells off the level, so every read stays inside the
     level's own padded grid: it needs no bounds check, and cells a larger
     level left past that grid are never read. See
@@ -544,11 +544,6 @@ class MazeEditorEnv(UnderspecifiedEnv):
 
     def reset_to_level(self, level: MazeLevel, rng=None):
         validate_level(level)
-        if (level.width, level.height) != (self.width, self.height):
-            raise LevelError(
-                f"canvas is {level.width}x{level.height}, editor is "
-                f"{self.width}x{self.height}"
-            )
         state = EditorState(level=level, edit_index=0, budget=self.wall_budget)
         return state, self.observe(state)
 
@@ -646,7 +641,10 @@ class MazeEditorBatch:
 
     def set_state(self, e: int, state: EditorState, observation=None) -> None:
         """Load ``state`` into row ``e``; ``observation`` is not needed."""
-        level = state.level
+        level, env = state.level, self.env
+        if (level.width, level.height) != (env.width, env.height):
+            raise LevelError(f"canvas is {level.width}x{level.height}, editor is "
+                             f"{env.width}x{env.height}")
         (gr, gc), (ar, ac), w = level.goal_pos, level.agent_pos, level.width
         self.walls[e] = level.walls.ravel()
         self.goal[e], self.agent[e], self.dir[e] = gr * w + gc, ar * w + ac, level.agent_dir

@@ -19,6 +19,7 @@ from ued_forge.maze import (
     LEFT,
     RIGHT,
     UP,
+    EditorState,
     LevelError,
     MazeEditorEnv,
     MazeEnv,
@@ -523,6 +524,8 @@ def test_editor_rejects_wrong_canvas_size():
     env = MazeEditorEnv(width=5, height=5, wall_budget=2)
     with pytest.raises(LevelError):
         env.reset_to_level(empty_level(4, 4), None)
+    with pytest.raises(LevelError, match="canvas is 4x4"):
+        env.step(EditorState(empty_level(4, 4), 2, 2), 3, R.generator(1))
 
 
 def test_empty_level_is_valid_and_solvable():
