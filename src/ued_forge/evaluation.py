@@ -13,6 +13,7 @@ shortest-path distances and is the natural skyline for solvable mazes.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 
@@ -66,10 +67,12 @@ def network_policy(params: ActorCriticParams, env, sample: bool = False):
         logits, _ = forward(params, image[None], extra[None])
         if not sample:
             return int(np.argmax(logits[0]))
-        probs = np.exp(log_softmax(logits.astype(np.float64))[0])
-        cdf = np.cumsum(probs)
-        a = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-        return min(a, probs.size - 1)
+        probs = np.exp(log_softmax(logits.astype(np.float64))[0]).tolist()
+        # Inverse CDF: a running sum in Python adds in np.cumsum's order, and
+        # costs less than numpy calls on a few floats.
+        cdf = list(itertools.accumulate(probs))
+        u = rng.random() * cdf[-1]
+        return min(sum(c <= u for c in cdf), len(cdf) - 1)
 
     return policy
 

@@ -18,6 +18,12 @@ An update allocates one workspace (:func:`_ppo_workspace`) for all its epochs:
 the inputs that every epoch reads are built once, and every (B, hidden) or
 (B, n_actions) temporary is written into it in place.
 
+Batch activations and their gradients are stored feature-major, (features,
+B): each matrix product is written in that orientation (``w1.T @ featT``) and
+every other line works on the (B, features) view ``.T``, so sums over the
+batch or a row's actions run along contiguous memory. A single row rounds as
+in row-major order, and :func:`forward` returns C-contiguous logits.
+
 Rollouts step a batch of environments for a fixed number of steps, sampling
 actions from the policy. Each environment owns an independent random stream
 derived by key splitting, so a trajectory depends only on its key. One loop
@@ -223,11 +229,11 @@ def _im2col(x: np.ndarray) -> np.ndarray:
     return np.concatenate(cols, axis=3)
 
 
-def _features(x, extras, dt):
-    """Each row of ``x`` flattened, followed by its extras, in dtype ``dt``."""
+def _features(x, extras, dt, out=None):
+    """Each row of ``x`` flattened, followed by its extras, in dtype ``dt`` or into ``out``."""
     b = x.shape[0]  # explicit sizes, so that a batch of zero rows reshapes too
     return np.concatenate([x.reshape(b, math.prod(x.shape[1:])), extras], axis=1,
-                          dtype=dt, casting="unsafe")
+                          dtype=dt if out is None else None, out=out, casting="unsafe")
 
 
 def _forward_cached(params: ActorCriticParams, images, extras, work=None):
@@ -246,13 +252,13 @@ def _forward_cached(params: ActorCriticParams, images, extras, work=None):
         feat = _features(a0, extras, cfg.np_dtype)
     else:
         feat = w["feat"] if "feat" in w else _features(images, extras, cfg.np_dtype)
-    h1 = np.matmul(feat, p["w1"], out=w.get("h1"))
+    h1 = np.matmul(p["w1"].T, feat.T, out=w["h1"].T if w else None).T
     h1 += p["b1"]
     np.tanh(h1, out=h1)
-    h2 = np.matmul(h1, p["w2"], out=w.get("h2"))
+    h2 = np.matmul(p["w2"].T, h1.T, out=w["h2"].T if w else None).T
     h2 += p["b2"]
     np.tanh(h2, out=h2)
-    logits = np.matmul(h2, p["wp"], out=w.get("logits"))
+    logits = np.matmul(p["wp"].T, h2.T, out=w["logits"].T if w else None).T
     logits += p["bp"]
     values = (h2 @ p["wv"] + p["bv"])[:, 0]
     cache.update(feat=feat, h1=h1, h2=h2)
@@ -269,10 +275,11 @@ def forward(params: ActorCriticParams, images: np.ndarray, extras: np.ndarray):
             f"extra batch dim {extras.shape[1:]} != ({params.config.extra_dim},)"
         )
     logits, values, _ = _forward_cached(params, images, extras)
-    return logits, values
+    return np.ascontiguousarray(logits), values
 
 
 def _backward(params: ActorCriticParams, cache, dlogits, dvalues, work=None):
+    """Gradients of every parameter; the cached ``h1`` and ``h2`` are overwritten."""
     cfg = params.config
     p = params.layers
     w = work or {}
@@ -282,16 +289,14 @@ def _backward(params: ActorCriticParams, cache, dlogits, dvalues, work=None):
     grads["bp"] = dlogits.sum(axis=0)
     grads["wv"] = h2.T @ dvalues[:, None]
     grads["bv"] = dvalues.sum(axis=0, keepdims=True)
-    tmp = w.get("tmp_h")
-    dz2 = np.matmul(dlogits, np.ascontiguousarray(p["wp"].T), out=w.get("dh2"))
-    dz2 += np.outer(dvalues, p["wv"], out=tmp)
-    t = np.multiply(h2, h2, out=tmp)  # the tanh derivative: dz2 *= 1 - h2 * h2
-    dz2 *= np.subtract(1.0, t, out=t)
+    heads = np.concatenate([p["wp"], p["wv"]], axis=1)  # both heads in one product
+    dheads = np.concatenate([dlogits.T, dvalues[None]])
+    dz2 = np.matmul(heads, dheads, out=w["dh2"].T if w else None).T
+    dz2 *= np.subtract(1.0, np.multiply(h2, h2, out=h2), out=h2)  # tanh'(z2) = 1 - h2 * h2
     grads["w2"] = h1.T @ dz2
     grads["b2"] = dz2.sum(axis=0)
-    dz1 = np.matmul(dz2, p["w2"].T, out=w.get("dh1"))
-    t = np.multiply(h1, h1, out=tmp)
-    dz1 *= np.subtract(1.0, t, out=t)
+    dz1 = np.matmul(p["w2"], dz2.T, out=h2.T).T  # h2 is spent
+    dz1 *= np.subtract(1.0, np.multiply(h1, h1, out=h1), out=h1)
     grads["w1"] = feat.T @ dz1
     grads["b1"] = dz1.sum(axis=0)
     if cfg.torso == "conv":
@@ -583,15 +588,18 @@ def adam_step(params: ActorCriticParams, grads: dict, lr: float, eps: float):
 def _ppo_workspace(cfg: NetConfig, images, extras, acts) -> dict:
     """The arrays every epoch of one PPO update reuses: the inputs that do not
     change between epochs (the ``mlp`` features and the action one-hot), and
-    one array per (B, hidden) or (B, n_actions) temporary, written in place."""
+    one array per (B, hidden) or (B, n_actions) temporary, written in place.
+    Each is stored feature-major, (features, B), and handed out as its
+    (B, features) view ``.T``; the features go there straight from the inputs."""
     b, dt = len(acts), cfg.np_dtype
-    work = {k: np.empty((b, cfg.hidden), dt) for k in ("h1", "h2", "dh2", "dh1", "tmp_h")}
+    work = {k: np.empty((cfg.hidden, b), dt).T for k in ("h1", "h2", "dh2")}
     for k in ("logits", "logp", "pi", "tmp_a", "dlogits"):
-        work[k] = np.empty((b, cfg.n_actions), dt)
-    work["one_hot"] = np.zeros((b, cfg.n_actions), dt)
+        work[k] = np.empty((cfg.n_actions, b), dt).T
+    work["one_hot"] = np.zeros((cfg.n_actions, b), dt).T
     work["one_hot"][np.arange(b), acts] = 1.0
     if cfg.torso == "mlp":
-        work["feat"] = _features(images, extras, dt)
+        feat = np.empty((cfg.param_shapes()["w1"][0], b), dt).T
+        work["feat"] = _features(images, extras, dt, out=feat)
     return work
 
 

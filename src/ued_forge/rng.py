@@ -54,6 +54,11 @@ def fold_in(key: Key, data: int) -> Key:
     return _derive(key, _TAG_FOLD, data)
 
 
+def is_key(value) -> bool:
+    """Whether ``value`` is a key: an int (not a bool) in [0, 2**128)."""
+    return type(value) is int and 0 <= value < 1 << _KEY_BITS
+
+
 def generator(key: Key) -> np.random.Generator:
     """A numpy Generator over the Philox counter-based bit generator."""
     return np.random.Generator(np.random.Philox(key=key & ((1 << _KEY_BITS) - 1)))

@@ -51,6 +51,7 @@ import numpy as np
 from . import rng as rng_mod
 from .env_core import AutoReplayWrapper, AutoResetWrapper, WrappedState
 from .level_sampler import (
+    BufferError,
     LevelBuffer,
     SamplerConfig,
     buffer_from_text,
@@ -763,8 +764,15 @@ def _b64(params: ActorCriticParams) -> str:
     return base64.b64encode(params_to_bytes(params)).decode("ascii")
 
 
-def _unb64(text: str) -> ActorCriticParams:
-    return params_from_bytes(base64.b64decode(text.encode("ascii")))
+def _unb64(text: str, net_config: NetConfig, name: str) -> ActorCriticParams:
+    """The network ``name`` of a run state, which must have ``net_config``."""
+    try:
+        params = params_from_bytes(base64.b64decode(text.encode("ascii")))
+    except (AttributeError, ValueError) as exc:  # not text, not ASCII, not base64, bad bytes
+        raise UedError(f"bad {name} network: {exc}") from exc
+    if params.config != net_config:
+        raise UedError(f"{name} network config {params.config} does not match the run config")
+    return params
 
 
 def _maze_state_to_dict(ws: WrappedState) -> dict:
@@ -851,19 +859,36 @@ def load_run_state(path) -> dict:
     for required in ("config", "params", "master_key", "cycle", "env_steps", "updates"):
         if required not in payload:
             raise UedError(f"run state missing field {required!r}")
-    out = dict(payload)
-    config = out["config"] = ued_config_from_dict(payload["config"])
-    out["params"] = _unb64(payload["params"])
-    for name in ("antagonist", "adversary"):
-        if payload.get(name):
-            out[name] = _unb64(payload[name])
-    if payload.get("buffer"):
-        out["buffer"] = buffer_from_text(payload["buffer"])
+    config = ued_config_from_dict(payload["config"])
+    nets = {"params": student_net_config(config)}
+    if config.algorithm == "paired":
+        nets.update(antagonist=nets["params"], adversary=adversary_net_config(config))
+    replay = config.algorithm not in ("dr", "paired")
+    for required in (*nets, *(("buffer", "node") if replay else ())):
+        if required not in payload:
+            raise UedError(f"{config.algorithm} run state missing field {required!r}")
+    for name in ("cycle", "env_steps", "updates"):
+        if type(payload[name]) is not int or payload[name] < 0:
+            raise UedError(f"{name} must be a non-negative int, got {payload[name]!r}")
+    if not rng_mod.is_key(payload["master_key"]):
+        raise UedError(f"master_key must be an int in [0, 2**128), got {payload['master_key']!r}")
+    out = {k: payload[k] for k in ("master_key", "cycle", "env_steps", "updates")}
+    out["config"] = config
+    for name, net_config in nets.items():
+        out[name] = _unb64(payload[name], net_config, name)
+    if replay:
+        if payload["node"] not in (NODE_A, NODE_B):
+            raise UedError(f"unknown automaton node {payload['node']!r}")
+        out["node"] = payload["node"]
+        try:
+            out["buffer"] = buffer_from_text(payload["buffer"])
+            if payload.get("last_replayed") is not None:
+                out["last_replayed"] = tuple(parse_level(t) for t in payload["last_replayed"])
+        except (AttributeError, TypeError, BufferError, LevelError) as exc:
+            raise UedError(f"bad buffer or last_replayed levels: {exc}") from exc
         _check_level_sizes(out["buffer"].levels, config, "buffer")
-    if payload.get("last_replayed"):
-        out["last_replayed"] = tuple(parse_level(t) for t in payload["last_replayed"])
-        _check_level_sizes(out["last_replayed"], config, "last_replayed")
-    if "env_states" in payload or config.algorithm == "dr":
+        _check_level_sizes(out.get("last_replayed") or (), config, "last_replayed")
+    if config.algorithm == "dr":
         try:
             out["env_states"] = [_maze_state_from_dict(d, config) for d in payload["env_states"]]
         except (KeyError, TypeError, LevelError) as exc:

@@ -14,7 +14,7 @@ from ued_forge.evaluation import (
     run_episode,
 )
 from ued_forge.maze import MazeEnv, parse_level, shortest_path_distances
-from ued_forge.rl_core import NetConfig, init_params
+from ued_forge.rl_core import NetConfig, forward, init_params, log_softmax
 
 
 def student_params(seed=0, view=5):
@@ -90,6 +90,25 @@ def test_sampled_policy_uses_rng():
     gen = R.generator(7)
     actions = {pol(state, obs, gen) for _ in range(50)}
     assert len(actions) > 1  # near-uniform net: all actions show up
+
+
+def test_sampled_policy_matches_numpy_inverse_cdf():
+    # The closure's running sum must pick what np.cumsum and np.searchsorted
+    # pick from the same uniform; the untrained net is near-uniform, so scale
+    # its weights up to reach uneven probabilities too.
+    env = MazeEnv(max_steps=30, view_size=5)
+    for scale in (1.0, 300.0):
+        params = student_params(3)
+        params.layers["wp"] = params.layers["wp"] * np.float32(scale)
+        pol = network_policy(params, env, sample=True)
+        state, obs = env.reset_to_level(STRAIGHT, R.generator(1))
+        image, extra = env.encode_observation(obs)
+        logits, _ = forward(params, image[None], extra[None])
+        cdf = np.cumsum(np.exp(log_softmax(logits.astype(np.float64))[0]))
+        gen, ref = R.generator(7), R.generator(7)
+        for _ in range(200):
+            a = int(np.searchsorted(cdf, ref.random() * cdf[-1], side="right"))
+            assert pol(state, obs, gen) == min(a, cdf.size - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -21,111 +21,111 @@ SEED = 1
 GOLDEN = {
     "accel": {
         "part/buffer.txt":
-            "7b322a5dfedbbc29e7a62ecc9e63a6ab3cc1cddbc82724b1073c8883a7ea978d",
+            "238e27482ae2451afbc2b67b01a6ba4313f1e22c616e91597de1905e8ea1e49c",
         "part/metrics.jsonl":
-            "46795ff88dd01a4438642a6aadcf5a68c1279c1f0e6513f94f6b8ac5549add8c",
+            "3322a4d8e2ce08d6980c98e11fae45e544917bbe498544b84d4849a35b8f355f",
         "part/params.bin":
-            "53c7d5651b14856e710de1ad09f5c3b6888ed73c995dd145ee3ffad1eebfc8bd",
+            "fa84d2ffd3c781ceafbe7b1c2a9cc318e6f42322342a3c32a4deed8fbb397e00",
         "part/state.json":
-            "f55858f59b71e0f7ab2e2da65706ef270438b91d2e262622b7ccdde63016eb1f",
+            "ce815f94ffeff89834dc89ca62029309a44414762b24182d93394c0b7f018fd8",
         "rest/buffer.txt":
-            "34da57c30961c1f93201a8847bec7e7fb5ea06a283c2afa445e38d39a4c0c2c9",
+            "8c15e3ffd285d69b9c9daa7204feb89b571326868405c37a83c7ffd9458939c1",
         "rest/metrics.jsonl":
-            "16c203f9eef3c2f9ed79e2c8e70e4a13aa6993e41874c65bb3762afddead8060",
+            "700f6539954d960fae8307e46a7e34396ddaf21fc7e838f175f163bbb3228b17",
         "rest/params.bin":
-            "6b8e00c69b596baa326dd692a33cd560f369ee562bd6c10bc36a9003f9421248",
+            "986cbd39837c3ced6005b07a188364ae4c165e6500db1b2aa576044a4532dc28",
         "rest/state.json":
-            "c73984db1d693b7f1c56565717e8727d29e216801a1c6ea20fe7f42302d6c06e",
+            "04df16442d98b367f2480073199ca64bd12940c871ce7e3745248b4469af1c7d",
     },
     "dr": {
         "part/metrics.jsonl":
-            "4d23106898f7b8dba2cf3fdb6236c79e1c0c6676419d04db195e4cb954b586a1",
+            "1eb16e550b16cb0f8a9a72b8ea6abc411c881a76c0e5ca82dae72e45fdf46fac",
         "part/params.bin":
-            "dea3aaf0f16e86d4bda8725d785cf1c44d34ec482a0d7dc8e235c4a29420d988",
+            "8713f6625f17bb9c68bc968bdeae1f02649249c84e553e778e99c8d3d2dab6da",
         "part/state.json":
-            "8ef1433ce31d54fded5e85025532a147429abad8123323dd0393d90e99e0119b",
+            "8a0c2f7060c007b27aecde0493d214f0a10f3a74f9a8a53e16d06e3a670a1896",
         "rest/metrics.jsonl":
-            "1b8adbc38fbde6ccc2d6a7a241e9de62ab39e26316eadc8adbada33f56b604d2",
+            "f2c23d2ab60c701f0fa64e6cec0d270703760435981ac8f16ef42e8d72149a67",
         "rest/params.bin":
-            "0d91141438d0b8d10986ce3ed87126b0e3460e603c53fd1c9e6f5bdbff55dbfe",
+            "23a0fc55cddda4802c411c44949c357bca7e0b05e5f9c69b3c94f7b25fc4a8cf",
         "rest/state.json":
-            "5b4e0c90b1eaa7452507dae6204f2b253e0301173ad74f31edae47d86f2767ab",
+            "620195481f0963b656898e93ff131e6fd6ef9504e2d2b876d6c13e6be6b23d82",
     },
     "paired": {
         "part/adversary.bin":
-            "a38c74f29041661dee8405febbf0101091b5d62e7fe2ae2dd82cbf6cdda1e1e6",
+            "6ff08ce3cda6ed8470eb6c4a599041bf50ff95ff0ff481e289dcbffba20974f1",
         "part/antagonist.bin":
-            "d28f937d3d4bf9a8ac005afca6824187d68fbc7c5a44ff509d9b823a40db0ffa",
+            "bd59e9c92c28d3c42a171fa487ad6e4617b5c9d84e64b098b2bc403a783e780c",
         "part/metrics.jsonl":
-            "330adfa8f2b70f5b20f4f6fda849ac366a7210fd5ff4255773109cacb2bbfeb9",
+            "2357c2cbaf5e9c636a1519b11ab83ef705ede4b56bdce7e0693a5963c9d65a36",
         "part/params.bin":
-            "83ad60542d9f372fa43fbbf6f8b1b0892d3c787d2748be9f355d7fdb4f76d427",
+            "269348e47b78b7c66577201578c4d15b43c863866407ce2f8652f8e9db4cd5df",
         "part/state.json":
-            "4550e368fc2d1ad75790761c93b5bde47bc5e2f0bf3568c1d798678be5bbc3ac",
+            "2aac81aee47cdfca6d38b22e593846ca347859cb9a85940c14474edace46222f",
         "rest/adversary.bin":
-            "5d0934ea6a56db40b6906d3bd744dd31803f6d71f714101a436edf7f893e97f8",
+            "e69299f58de2733da3f7b1a43ee9fdcbf0de44ab270416918f0afd764019d297",
         "rest/antagonist.bin":
-            "56460bf122e45a519ca897a6921b7339f1ebf30be9921f453f50758dfa048811",
+            "00e55a9a232fa7ade972036784de6863e109efe240437ba347cefa2346dfb4fc",
         "rest/metrics.jsonl":
-            "cc2b33a36c28596e59efb1ba5b0c30ef36cd24f522c6299f120a3a816bee3cb9",
+            "bbc5b29c95a474b2d63f1e1eff776cfcdbe6d4e51b7a375728013ba8841b34a7",
         "rest/params.bin":
-            "fbc6a15852c6b70fc736ed5095d67d008b3413ab98dbf946ae2035e72d4c19d7",
+            "466cf3ab7a3e59f64b4f8c1a40f632c602ab3a0970f036cac0e75067eadd0c88",
         "rest/state.json":
-            "1c057d46fc348a58bbc6e33cd57a1d94cc812fdc60e7f071818904cfe0d33e6c",
+            "781c02f891af831c731ebbbd5cba976e7be6f09c31fc73d873308b66e8537cad",
     },
     "plr": {
         "part/buffer.txt":
-            "b818606755d47b8938fa72fcd37c602c8e146ae189043c6af4bf952774de93d4",
+            "4df67c26fa3478ea1f8f0219179d4891d5f0fc1fd3e2a37e7be4f8f88cb2172a",
         "part/metrics.jsonl":
-            "3b908bb750b52c858f25d25be6e76d3a8658151d9cc3969431b9109dea7134ca",
+            "c64fcf45f88bbfc93a47da09feb36730fba91ba516b7378ddd81b376493b1625",
         "part/params.bin":
-            "098c1c5841915f2c900e55cc581ecbbb86fbc6fe94613e9bbe6d91368da949f1",
+            "9ce07a1b5bca1f0361b68e2cccaa3a310fa0fbe0aa02d4e8c1c4474f3812b03f",
         "part/state.json":
-            "b973f19cdb14aedd4b6f9c052c84ffb040e057972cc3240d3deeb0743b1b4448",
+            "851ce1d69aa125d0f4acd6eee396ae61244dd79335669effd2da5d6d4d7d1d55",
         "rest/buffer.txt":
-            "038d1a3eea7f179d05f423cf2364675d8805076daa45990a6ba748fe1ac48728",
+            "d257213089a111c1bf232a529dc5d399d737c2e0cf34b3844d4ae11e0e678e2a",
         "rest/metrics.jsonl":
-            "559645d1c5b053db7db44fdc0f9541fcdcd149db92ca67ca33836a352987c0c2",
+            "de3570d0f3634b46368908551756d992189bf00826ceb8448b951cd9f4ea951e",
         "rest/params.bin":
-            "9ede68ed2d6e6715d08d9f3160fc11693cb4d8825e321ee49d4de3084ebd6735",
+            "c281c2e018ae98baf4582135af57eb823cccf193e008518f5f6c4410360bcc1f",
         "rest/state.json":
-            "76ac04b39d7998b10cb8d8d91e1f8ecc106da58687548032b272b42ccb5c7820",
+            "d61b404df322bdbb37d5066b28fcd631dc8e5091c08caa49f331306de029e97a",
     },
     "plr_pvl": {
         "part/buffer.txt":
-            "99c96ad8013241af9bf20c30a326928dfb7ab789c2032ddde424386ad7937b49",
+            "a42ad2a641a4efcbdac5e09e84d935c4f683316838e1cf9d84c793243ea44e43",
         "part/metrics.jsonl":
-            "74fb9e5b4474af0d00193e61375fd22757f427616051e08853b3ca6dfc828daf",
+            "ac7c6c406619adde1e1692ac013a115e0c81077afea727b5dfdca275ec25486f",
         "part/params.bin":
-            "e641a3d977aa5370cb6f35f9b1ac93e6efda099e1b4ca9190b1ee7a7d5373e06",
+            "82ca448b4f14b93472ca44ff10bfe09aa54a1a8bf4e665c3f801d65c3766e5a1",
         "part/state.json":
-            "db3a57bbae39639616f043c30bd7a6c9613b2922eafda47e84a94f1b0ab0b486",
+            "6c14bc524bd49d8f24a63c5677dea12b84f82c3dbae29925e5b7361d97eb1f51",
         "rest/buffer.txt":
-            "460cab7da50d27b2055ee482551c2b56396105c32e35cf30c2e5003a63b08ce6",
+            "c0d3b69b5cbfbd5a386c88fb7d29763273b98831eb75ef62dcbfaa54a72fa427",
         "rest/metrics.jsonl":
-            "4bcdd4bd5e5dfe3a550ffef6dd7eb6b6bc325cebd15065551a6aae6f9b7ae31f",
+            "04c06f9a9bb9b50122f45846f52c0a5e397e75154edb784397031b0b0f7782b3",
         "rest/params.bin":
-            "1e5fbf8d5a012ea624bd726f2b00ecec3a5ca80274affdfa8210e798a7805762",
+            "39e473f1a84152dc51f4ce1a7bff0f23063037114cfb651dab57cf0cfd40bb5a",
         "rest/state.json":
-            "38be044512fbac9fb2c81dd5a82b9f715ae2a2c7c2ca72f7b0c0986bb514f285",
+            "07523f83f9df635df569b6062bccac240bf0990a0e5c8b1c470d02987beb2230",
     },
     "plr_robust": {
         "part/buffer.txt":
-            "7b322a5dfedbbc29e7a62ecc9e63a6ab3cc1cddbc82724b1073c8883a7ea978d",
+            "238e27482ae2451afbc2b67b01a6ba4313f1e22c616e91597de1905e8ea1e49c",
         "part/metrics.jsonl":
-            "bf76fc2ad1489a70d0b016085c379915264b347173b274d562ad71d9fafbcaf6",
+            "67f44181b1a202751339895e8997951bad6dc09f97521f07df78b40a23d7e276",
         "part/params.bin":
-            "53c7d5651b14856e710de1ad09f5c3b6888ed73c995dd145ee3ffad1eebfc8bd",
+            "fa84d2ffd3c781ceafbe7b1c2a9cc318e6f42322342a3c32a4deed8fbb397e00",
         "part/state.json":
-            "be08c127212c68759250c8e7d099dd6a712298f22920ff64db20324c174b8154",
+            "a80160f7bb9ce52131a46b1002377bd32a603f2702841873a1932c4181c78e6d",
         "rest/buffer.txt":
-            "6a16bea04a13935c926666e78dcdad509d273e4952867a0fe4b6cfbbb5cb0f14",
+            "138f540063511600c4eee54d949c8bb91985ae2f7ad2fa3cca90cc3bf7e71d32",
         "rest/metrics.jsonl":
-            "2926baab74df5a510e2de30d4f8184f4785ef3d2bff3e18c14af67d73a4a4f07",
+            "ec246da47981b28911b07dde13ce89f40428d23626c7efeb5476b784dd07f636",
         "rest/params.bin":
-            "95ef29770c92ce2827906186689d0ce16779838ed0ea67352eba0f9555f85c70",
+            "f5d9e195ed121e22b2024403b28b5bfc3b689017e972f7c038f0b413271b7415",
         "rest/state.json":
-            "a83176b8f0315553b68e490f48e6901de453ee0b9859b79de352d54b5ba2bdce",
+            "d213443c1ec51cbcf6930b900fd6a7262622b944dd83c88473a0a4c0fafb9cc3",
     },
 }
 

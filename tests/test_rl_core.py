@@ -553,7 +553,10 @@ def test_ppo_update_diverged_raises():
 
 
 # The PPO update as it was before the per-update workspace: every epoch
-# allocates each of its arrays anew. ppo_update must match it bit for bit.
+# allocates each of its arrays anew, and every (B, ·) array is row-major.
+# ppo_update stores its activations feature-major, so its matrix products and
+# batch sums round differently; it must match this reference to within a few
+# units in the last place of its dtype.
 
 def _ref_forward(params, images, extras):
     cfg, p, dt = params.config, params.layers, params.config.np_dtype
@@ -681,6 +684,8 @@ def synthetic_traj(params, seed, t_len=32, n=8):
 def test_ppo_update_matches_allocating_reference(cfg, dtype):
     # Two back-to-back updates on different trajectories of one shape: an
     # input or temporary that outlived its update would change the second.
+    # The bounds hold the measured 1.5e-15 (float64) and 5.3e-6 (float32).
+    tol = {"float32": 5e-5, "float64": 1e-12}[dtype]
     params = ref = make_params(replace(cfg, dtype=dtype), 8)
     ppo = PpoConfig(epochs=3, ent_coeff=0.01)
     for seed in (1, 2):
@@ -688,12 +693,33 @@ def test_ppo_update_matches_allocating_reference(cfg, dtype):
         adv, targets = compute_gae(traj, 0.99, 0.95)
         params, stats = ppo_update(params, traj, adv, targets, ppo, lr=3e-2)
         ref, ref_stats = _ref_ppo_update(ref, traj, adv, targets, ppo, lr=3e-2)
-        assert stats == ref_stats
+        assert stats.keys() == ref_stats.keys()
+        for k in stats:
+            assert rel_err(np.float64(stats[k]), np.float64(ref_stats[k])) <= tol, k
         assert 0.0 < stats["clip_fraction"] < 1.0
         assert (params.adam_t, params.updates) == (ref.adam_t, ref.updates)
         for k in cfg.param_names():
             for a, b in ((params.layers, ref.layers), (params.m, ref.m), (params.v, ref.v)):
-                assert a[k].dtype == b[k].dtype and np.array_equal(a[k], b[k]), k
+                assert a[k].dtype == b[k].dtype and rel_err(a[k], b[k]) <= tol, k
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("cfg", [MLP64, CONV64], ids=["mlp", "conv"])
+def test_forward_layout_guard(cfg, dtype):
+    # A single row gives the same bytes in either layout, so `evaluate` and
+    # `ued-forge eval` reports do not move with it. The logits come back
+    # C-contiguous at every batch size, the layout callers reduce over.
+    params = make_params(replace(cfg, dtype=dtype), 3)
+    gen = R.generator(R.key_from_seed(4))
+    for b in (1, 2, 33):
+        img = gen.normal(0, 1, (b,) + cfg.image_shape).astype(np.float32)
+        ext = gen.normal(0, 1, (b, cfg.extra_dim)).astype(np.float32)
+        logits, values = forward(params, img, ext)
+        assert logits.flags.c_contiguous and logits.dtype == values.dtype == np.dtype(dtype)
+        if b == 1:
+            ref_logits, ref_values, _ = _ref_forward(params, img, ext)
+            assert logits.tobytes() == ref_logits.tobytes()
+            assert values.tobytes() == ref_values.tobytes()
 
 
 # ---------------------------------------------------------------------------

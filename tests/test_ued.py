@@ -1,6 +1,7 @@
 """Training orchestration: cycle automaton, scoring, the three cycle
 operations, step accounting, run-state checkpoints, and resume."""
 
+import base64
 import json
 import os
 from dataclasses import replace
@@ -556,6 +557,65 @@ def test_load_run_state_rejects_wrong_size_levels(tmp_path, field):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload))
     with pytest.raises(UedError, match=f"{field} level is 3x3"):
+        load_run_state(bad)
+
+
+def _other_net(payload):
+    """``params`` replaced by the student network of a wider hidden layer."""
+    cfg = ued_config_from_dict({**payload["config"], "hidden": 8})
+    params = init_params(R.generator(1), student_net_config(cfg))
+    return {"params": base64.b64encode(params_to_bytes(params)).decode("ascii")}
+
+
+@pytest.mark.parametrize(
+    "algorithm, change",
+    [
+        ("accel", {"params": 5}),
+        ("accel", {"params": "ünïcode"}),
+        ("accel", {"params": "abc"}),
+        ("accel", _other_net),
+        ("paired", {"antagonist": 5}),
+        ("paired", {"adversary": ["x"]}),
+        ("paired", lambda payload: {"adversary": payload["params"]}),
+        ("accel", {"buffer": 5}),
+        ("accel", {"last_replayed": 5}),
+        ("accel", {"last_replayed": [5]}),
+        ("accel", {"node": "c"}),
+        ("accel", {"cycle": -4}),
+        ("accel", {"cycle": "x"}),
+        ("accel", {"env_steps": 1.5}),
+        ("accel", {"updates": True}),
+        ("accel", {"master_key": "k"}),
+        ("accel", {"master_key": -1}),
+        ("accel", {"master_key": 2 ** 128}),
+    ],
+    ids=["params_int", "params_non_ascii", "params_bad_base64", "params_other_config",
+         "antagonist_int", "adversary_list", "adversary_student_net", "buffer_int",
+         "last_replayed_int", "last_replayed_int_list", "node", "cycle_negative", "cycle_str",
+         "env_steps_float", "updates_bool", "master_key_str", "master_key_negative",
+         "master_key_too_wide"],
+)
+def test_load_run_state_rejects_bad_fields(tmp_path, algorithm, change):
+    # Each of these once loaded with an untyped error, or loaded and then
+    # failed (or ran on) at resume.
+    train(tiny_config(algorithm=algorithm), seed=2, out_dir=str(tmp_path / "run"), max_cycles=4)
+    payload = json.loads((tmp_path / "run" / "state.json").read_text())
+    update = change(payload) if callable(change) else change
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**payload, **update}))
+    with pytest.raises(UedError):
+        load_run_state(bad)
+
+
+@pytest.mark.parametrize("algorithm, field", [("accel", "buffer"), ("accel", "node"),
+                                              ("paired", "antagonist"), ("paired", "adversary")])
+def test_load_run_state_requires_algorithm_fields(tmp_path, algorithm, field):
+    train(tiny_config(algorithm=algorithm), seed=2, out_dir=str(tmp_path / "run"), max_cycles=2)
+    payload = json.loads((tmp_path / "run" / "state.json").read_text())
+    del payload[field]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    with pytest.raises(UedError, match=f"missing field '{field}'"):
         load_run_state(bad)
 
 
