@@ -24,7 +24,7 @@ write/read/write round trip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -109,14 +109,7 @@ def sample_levels(
     counter = buffer.episode_counter + 1
     last_touched = buffer.last_touched.copy()
     last_touched[indices] = counter
-    new = LevelBuffer(
-        capacity=buffer.capacity,
-        levels=buffer.levels,
-        scores=buffer.scores,
-        last_touched=last_touched,
-        extras=buffer.extras,
-        episode_counter=counter,
-    )
+    new = replace(buffer, last_touched=last_touched, episode_counter=counter)
     return new, indices, [buffer.levels[i] for i in indices]
 
 
@@ -177,14 +170,9 @@ def insert_batch(
                 slot_extras[j] = extra
                 key_to_slot[key] = j
 
-    return LevelBuffer(
-        capacity=buffer.capacity,
-        levels=tuple(slot_levels),
-        scores=np.array(slot_scores, dtype=np.float64),
-        last_touched=np.array(slot_touched, dtype=np.int64),
-        extras=tuple(slot_extras),
-        episode_counter=counter,
-    )
+    return replace(buffer, levels=tuple(slot_levels), scores=np.array(slot_scores, np.float64),
+                   last_touched=np.array(slot_touched, np.int64), extras=tuple(slot_extras),
+                   episode_counter=counter)
 
 
 def update_batch(
@@ -213,14 +201,8 @@ def update_batch(
         slot_scores[i] = float(score)
         slot_extras[i] = dict(extra)
         slot_touched[i] = counter
-    return LevelBuffer(
-        capacity=buffer.capacity,
-        levels=buffer.levels,
-        scores=slot_scores,
-        last_touched=slot_touched,
-        extras=tuple(slot_extras),
-        episode_counter=counter,
-    )
+    return replace(buffer, scores=slot_scores, last_touched=slot_touched,
+                   extras=tuple(slot_extras), episode_counter=counter)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,12 @@ normalized to zero mean / unit variance over the batch, the policy maximizes
 squared error, and an entropy bonus is subtracted. Epochs run over the full
 batch (single minibatch). All parameters live in float32 by default;
 instantiate with ``dtype="float64"`` for high-precision gradient checking.
+
+The parameters, their gradient and both Adam moments are each one flat
+vector, laid out in the checkpoint order of :meth:`NetConfig.param_shapes`;
+:meth:`NetConfig.views` gives each parameter as a view of such a vector.
+Adam, clipping and the finite check are whole-vector operations, and the
+backward pass writes each gradient straight into its view.
 An update allocates one workspace (:func:`_ppo_workspace`) for all its epochs:
 the inputs that every epoch reads are built once, and every (B, hidden) or
 (B, n_actions) temporary is written into it in place.
@@ -45,7 +51,8 @@ import json
 import math
 import numbers
 import struct
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -156,42 +163,55 @@ class NetConfig:
         return {**shapes, "w1": (feat_dim, h), "b1": (h,), "w2": (h, h), "b2": (h,),
                 "wp": (h, n_act), "bp": (n_act,), "wv": (h, 1), "bv": (1,)}
 
-    def param_names(self) -> list[str]:
-        return list(self.param_shapes())
+    @property
+    def n_params(self) -> int:
+        return sum(math.prod(s) for s in self.param_shapes().values())
+
+    def views(self, vec: np.ndarray) -> dict[str, np.ndarray]:
+        """Each parameter as a view of the flat vector ``vec``, in checkpoint order."""
+        out, i = {}, 0
+        for k, shape in self.param_shapes().items():
+            n = math.prod(shape)
+            out[k] = vec[i:i + n].reshape(shape)
+            i += n
+        return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class ActorCriticParams:
     """Network weights plus Adam moments and step counters.
 
-    Treated as immutable: optimizer steps return a new instance.
+    ``theta`` (the weights), ``m`` and ``v`` (the Adam moments) are flat
+    vectors of ``config.n_params`` entries in checkpoint order, and read-only:
+    optimizer steps return a new instance. ``layers`` maps each parameter
+    name to its view of ``theta``, built once here.
     """
 
     config: NetConfig
-    layers: dict[str, np.ndarray]
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    theta: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
     adam_t: int = 0
     updates: int = 0
+    layers: MappingProxyType = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = self.config.n_params
+        if not self.theta.shape == self.m.shape == self.v.shape == (n,):
+            raise ValueError(f"theta, m and v must each have shape ({n},)")
+        for a in (self.theta, self.m, self.v):
+            a.setflags(write=False)
+        object.__setattr__(self, "layers", MappingProxyType(self.config.views(self.theta)))
 
     def flat(self) -> np.ndarray:
-        return np.concatenate(
-            [self.layers[k].ravel() for k in self.config.param_names()]
-        )
+        return self.theta
 
     def with_flat(self, vec: np.ndarray) -> "ActorCriticParams":
-        layers, i = {}, 0
-        for k in self.config.param_names():
-            n = self.layers[k].size
-            layers[k] = vec[i:i + n].reshape(self.layers[k].shape).astype(
-                self.config.np_dtype
-            )
-            i += n
-        return replace(self, layers=layers)
+        return replace(self, theta=vec.astype(self.config.np_dtype))
 
     @property
     def n_params(self) -> int:
-        return sum(a.size for a in self.layers.values())
+        return self.theta.size
 
 
 def _orthogonal(rng: np.random.Generator, rows: int, cols: int, gain: float):
@@ -208,13 +228,12 @@ _GAINS = {"ck": math.sqrt(2), "w1": math.sqrt(2), "w2": math.sqrt(2), "wp": 0.01
 
 
 def init_params(rng: np.random.Generator, config: NetConfig) -> ActorCriticParams:
-    layers = {}
-    for k, shape in config.param_shapes().items():
-        a = (_orthogonal(rng, math.prod(shape[:-1]), shape[-1], _GAINS[k]).reshape(shape)
-             if k in _GAINS else np.zeros(shape))
-        layers[k] = a.astype(config.np_dtype)
-    return ActorCriticParams(config, layers, m={k: np.zeros_like(a) for k, a in layers.items()},
-                             v={k: np.zeros_like(a) for k, a in layers.items()})
+    theta = np.concatenate([
+        _orthogonal(rng, math.prod(shape[:-1]), shape[-1], _GAINS[k]).ravel()
+        if k in _GAINS else np.zeros(math.prod(shape))
+        for k, shape in config.param_shapes().items()
+    ]).astype(config.np_dtype)
+    return ActorCriticParams(config, theta, np.zeros_like(theta), np.zeros_like(theta))
 
 
 # ---------------------------------------------------------------------------
@@ -279,34 +298,35 @@ def forward(params: ActorCriticParams, images: np.ndarray, extras: np.ndarray):
 
 
 def _backward(params: ActorCriticParams, cache, dlogits, dvalues, work=None):
-    """Gradients of every parameter; the cached ``h1`` and ``h2`` are overwritten."""
+    """The flat gradient of every parameter; the cached ``h1`` and ``h2`` are overwritten."""
     cfg = params.config
     p = params.layers
     w = work or {}
     h2, h1, feat = cache["h2"], cache["h1"], cache["feat"]
-    grads = {}
-    grads["wp"] = h2.T @ dlogits
-    grads["bp"] = dlogits.sum(axis=0)
-    grads["wv"] = h2.T @ dvalues[:, None]
-    grads["bv"] = dvalues.sum(axis=0, keepdims=True)
+    grad = np.empty_like(params.theta)
+    g = cfg.views(grad)
+    np.matmul(h2.T, dlogits, out=g["wp"])
+    dlogits.sum(axis=0, out=g["bp"])
+    np.matmul(h2.T, dvalues[:, None], out=g["wv"])
+    dvalues.sum(axis=0, keepdims=True, out=g["bv"])
     heads = np.concatenate([p["wp"], p["wv"]], axis=1)  # both heads in one product
     dheads = np.concatenate([dlogits.T, dvalues[None]])
     dz2 = np.matmul(heads, dheads, out=w["dh2"].T if w else None).T
     dz2 *= np.subtract(1.0, np.multiply(h2, h2, out=h2), out=h2)  # tanh'(z2) = 1 - h2 * h2
-    grads["w2"] = h1.T @ dz2
-    grads["b2"] = dz2.sum(axis=0)
+    np.matmul(h1.T, dz2, out=g["w2"])
+    dz2.sum(axis=0, out=g["b2"])
     dz1 = np.matmul(p["w2"], dz2.T, out=h2.T).T  # h2 is spent
     dz1 *= np.subtract(1.0, np.multiply(h1, h1, out=h1), out=h1)
-    grads["w1"] = feat.T @ dz1
-    grads["b1"] = dz1.sum(axis=0)
+    np.matmul(feat.T, dz1, out=g["w1"])
+    dz1.sum(axis=0, out=g["b1"])
     if cfg.torso == "conv":
         dfeat = dz1 @ p["w1"].T
         n_conv = feat.shape[1] - cfg.extra_dim
         da0 = dfeat[:, :n_conv].reshape(cache["a0"].shape)
         dz0 = da0 * (1.0 - cache["a0"] ** 2)
-        grads["ck"] = np.einsum("bpk,bpf->kf", cache["cols"], dz0).reshape(p["ck"].shape)
-        grads["cb"] = dz0.sum(axis=(0, 1))
-    return grads
+        np.einsum("bpk,bpf->kf", cache["cols"], dz0, out=g["ck"].reshape(-1, cfg.conv_filters))
+        dz0.sum(axis=(0, 1), out=g["cb"])
+    return grad
 
 
 def log_softmax(logits: np.ndarray, out=None, scratch=None) -> np.ndarray:
@@ -557,32 +577,26 @@ def normalize_advantages(adv: np.ndarray) -> np.ndarray:
     return (adv - mean) / (std + 1e-8)
 
 
-def global_grad_norm(grads: dict) -> float:
-    return float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+def global_grad_norm(config: NetConfig, grad: np.ndarray) -> float:
+    """The L2 norm of a flat gradient: a sum of squares per parameter in its
+    own dtype, the sums added in float64."""
+    return float(np.sqrt(sum(float((g * g).sum()) for g in config.views(grad).values())))
 
 
-def clip_grads(grads: dict, max_norm: float) -> dict:
-    norm = global_grad_norm(grads)
-    if norm > max_norm:
-        scale = max_norm / norm
-        return {k: g * scale for k, g in grads.items()}
-    return grads
+def clip_grads(config: NetConfig, grad: np.ndarray, max_norm: float) -> np.ndarray:
+    norm = global_grad_norm(config, grad)
+    return grad * (max_norm / norm) if norm > max_norm else grad
 
 
-def adam_step(params: ActorCriticParams, grads: dict, lr: float, eps: float):
+def adam_step(params: ActorCriticParams, grad: np.ndarray, lr: float, eps: float):
     t = params.adam_t + 1
     dt = params.config.np_dtype
-    layers, m, v = {}, {}, {}
-    bc1 = 1.0 - ADAM_BETA1 ** t
-    bc2 = 1.0 - ADAM_BETA2 ** t
-    for k, p in params.layers.items():
-        g = grads[k].astype(dt)
-        mk = ADAM_BETA1 * params.m[k] + (1 - ADAM_BETA1) * g
-        vk = ADAM_BETA2 * params.v[k] + (1 - ADAM_BETA2) * g * g
-        layers[k] = p - dt.type(lr) * (mk / bc1) / (np.sqrt(vk / bc2) + eps)
-        m[k] = mk
-        v[k] = vk
-    return replace(params, layers=layers, m=m, v=v, adam_t=t)
+    g = grad.astype(dt)
+    m = ADAM_BETA1 * params.m + (1 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * params.v + (1 - ADAM_BETA2) * g * g
+    bc1, bc2 = 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t
+    theta = params.theta - dt.type(lr) * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    return replace(params, theta=theta, m=m, v=v, adam_t=t)
 
 
 def _ppo_workspace(cfg: NetConfig, images, extras, acts) -> dict:
@@ -658,7 +672,7 @@ def _ppo_loss_grads(params, batch, config: PpoConfig, work=None):
         dvals = vals - targets
     dvalues = (config.vf_coeff / b) * dvals
 
-    grads = _backward(params, cache, dlogits, dvalues.astype(dt), w)
+    grad = _backward(params, cache, dlogits, dvalues.astype(dt), w)
     stats = {
         "policy_loss": float(pg_loss),
         "value_loss": float(value_loss),
@@ -667,7 +681,7 @@ def _ppo_loss_grads(params, batch, config: PpoConfig, work=None):
         "clip_fraction": float(np.mean(np.abs(ratio - 1.0) > eps)),
         "total_loss": float(total),
     }
-    return stats, grads
+    return stats, grad
 
 
 def ppo_update(
@@ -699,13 +713,13 @@ def ppo_update(
 
     stats = {}
     for _ in range(config.epochs):
-        stats, grads = _ppo_loss_grads(params, batch, config, work)
+        stats, grad = _ppo_loss_grads(params, batch, config, work)
         if not np.isfinite(stats["total_loss"]):
             raise TrainingDivergedError(f"non-finite loss: {stats}")
-        grads = clip_grads(grads, config.max_grad_norm)
-        if not all(np.all(np.isfinite(g)) for g in grads.values()):
+        grad = clip_grads(params.config, grad, config.max_grad_norm)
+        if not np.isfinite(grad).all():
             raise TrainingDivergedError("non-finite gradient")
-        params = adam_step(params, grads, lr, config.adam_eps)
+        params = adam_step(params, grad, lr, config.adam_eps)
     params = replace(params, updates=params.updates + 1)
     return params, stats
 
@@ -716,27 +730,23 @@ def ppo_update(
 #
 # Binary layout: 8-byte magic "UFNET001", little-endian u32 header length,
 # JSON header (net config, counters, parameter names/shapes, sorted keys),
-# then one flat little-endian float32 blob per parameter in header order,
-# followed by the Adam first moments and second moments in the same order.
+# then three flat little-endian float32 vectors: the parameters, the Adam
+# first moments and the second moments, each in header order.
 
 _NET_MAGIC = b"UFNET001"
 
 
 def params_to_bytes(params: ActorCriticParams) -> bytes:
     cfg = params.config
-    names = cfg.param_names()
     header = {
         "version": 1,
         "config": asdict(cfg),
         "adam_t": params.adam_t,
         "updates": params.updates,
-        "params": {k: list(params.layers[k].shape) for k in names},
+        "params": {k: list(s) for k, s in cfg.param_shapes().items()},
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    blobs = [params.layers[k] for k in names]
-    blobs += [params.m[k] for k in names]
-    blobs += [params.v[k] for k in names]
-    body = b"".join(np.ascontiguousarray(a, dtype="<f4").tobytes() for a in blobs)
+    body = np.concatenate([params.theta, params.m, params.v]).astype("<f4").tobytes()
     return _NET_MAGIC + struct.pack("<I", len(head)) + head + body
 
 
@@ -764,30 +774,16 @@ def _decode_params(data: bytes) -> ActorCriticParams:
     if set(c) != {f.name for f in fields(NetConfig)}:
         raise ValueError(f"network config fields {sorted(c)} do not match NetConfig")
     cfg = NetConfig(**{**c, "image_shape": tuple(c["image_shape"])})
-    shapes = cfg.param_shapes()
-    if header["params"] != {k: list(s) for k, s in shapes.items()}:
+    if header["params"] != {k: list(s) for k, s in cfg.param_shapes().items()}:
         raise ValueError(f"parameter shapes {header['params']} do not match the network config")
     for name in ("adam_t", "updates"):
         if type(header[name]) is not int or header[name] < 0:
             raise ValueError(f"{name} must be a non-negative int, got {header[name]!r}")
-    offset = 12 + head_len
-
-    def take(shape):
-        nonlocal offset
-        n = math.prod(shape)
-        arr = np.frombuffer(data, dtype="<f4", count=n, offset=offset)
-        offset += 4 * n
-        return arr.reshape(shape).astype(cfg.np_dtype)
-
-    layers = {k: take(s) for k, s in shapes.items()}
-    m = {k: take(s) for k, s in shapes.items()}
-    v = {k: take(s) for k, s in shapes.items()}
-    if offset != len(data):
-        raise ValueError("trailing bytes in network checkpoint")
-    return ActorCriticParams(
-        config=cfg, layers=layers, m=m, v=v,
-        adam_t=header["adam_t"], updates=header["updates"],
-    )
+    body = np.frombuffer(data, dtype="<f4", offset=12 + head_len)
+    if body.size != 3 * cfg.n_params:
+        raise ValueError(f"checkpoint holds {body.size} floats, expected 3 x {cfg.n_params}")
+    theta, m, v = body.reshape(3, cfg.n_params).astype(cfg.np_dtype)
+    return ActorCriticParams(cfg, theta, m, v, adam_t=header["adam_t"], updates=header["updates"])
 
 
 def save_params(params: ActorCriticParams, path) -> None:

@@ -290,18 +290,13 @@ def planned_cycles(config: UedConfig) -> int:
 
 
 def dry_run_env_steps(config: UedConfig, n_cycles: int | None = None) -> dict:
-    """Simulate the step-accounting loop without touching an environment.
+    """The cycles and env steps of a run, without touching an environment.
 
     Mirrors the real stopping rule: with ``n_cycles`` given, run that many
     cycles; otherwise run until the step budget is reached.
     """
-    env_steps = 0
-    cycles = 0
-    per = steps_per_cycle(config)
-    while (cycles < n_cycles) if n_cycles is not None else (env_steps < config.total_env_steps):
-        env_steps += per
-        cycles += 1
-    return {"cycles": cycles, "env_steps": env_steps}
+    cycles = planned_cycles(config) if n_cycles is None else max(n_cycles, 0)
+    return {"cycles": cycles, "env_steps": cycles * steps_per_cycle(config)}
 
 
 # ---------------------------------------------------------------------------

@@ -154,14 +154,11 @@ def test_criterion_03_gradients_match_finite_differences():
             return float((wl * logits).sum() + (wv * values).sum())
 
         _, _, cache = _forward_cached(params, img, ext)
-        grads = _backward(params, cache, wl, wv)
-        fd = fd_grad(layer_loss, params.flat())
-        i = 0
-        for name in cfg.param_names():
-            n = params.layers[name].size
-            worst = max(worst, rel_err(grads[name].ravel(), fd[i:i + n]))
+        grad = _backward(params, cache, wl, wv)
+        fd = cfg.views(fd_grad(layer_loss, params.flat()))
+        for name, g in cfg.views(grad).items():
+            worst = max(worst, rel_err(g, fd[name]))
             checked_layers += 1
-            i += n
 
         # full PPO objective, clip branches included
         b = 24
@@ -180,9 +177,8 @@ def test_criterion_03_gradients_match_finite_differences():
             stats, _ = _ppo_loss_grads(params.with_flat(vec), batch, ppo)
             return stats["total_loss"]
 
-        _, grads = _ppo_loss_grads(params, batch, ppo)
-        an = np.concatenate([grads[k].ravel() for k in cfg.param_names()])
-        worst = max(worst, rel_err(an, fd_grad(ppo_loss, params.flat())))
+        _, grad = _ppo_loss_grads(params, batch, ppo)
+        worst = max(worst, rel_err(grad, fd_grad(ppo_loss, params.flat())))
 
     report(3, worst < 1e-4,
            f"finite-difference check over {checked_layers} layers plus the "
@@ -507,8 +503,7 @@ def test_criterion_10_format_round_trips():
         )
         params = init_params(gen, cfg)
         if gen.random() < 0.5:
-            grads = {k: gen.normal(0, 1, v.shape) for k, v in params.layers.items()}
-            params = adam_step(params, grads, 1e-3, 1e-8)
+            params = adam_step(params, gen.normal(0, 1, params.n_params), 1e-3, 1e-8)
         data = params_to_bytes(params)
         if params_to_bytes(params_from_bytes(data)) != data:
             failures += 1

@@ -98,8 +98,10 @@ def test_sampled_policy_matches_numpy_inverse_cdf():
     # its weights up to reach uneven probabilities too.
     env = MazeEnv(max_steps=30, view_size=5)
     for scale in (1.0, 300.0):
-        params = student_params(3)
-        params.layers["wp"] = params.layers["wp"] * np.float32(scale)
+        base = student_params(3)
+        theta = base.flat().copy()
+        base.config.views(theta)["wp"][...] *= np.float32(scale)
+        params = base.with_flat(theta)
         pol = network_policy(params, env, sample=True)
         state, obs = env.reset_to_level(STRAIGHT, R.generator(1))
         image, extra = env.encode_observation(obs)

@@ -107,6 +107,22 @@ def test_param_vector_round_trip():
     assert np.allclose(p.flat(), vec)  # original untouched
 
 
+@pytest.mark.parametrize("cfg", [MLP64, CONV64], ids=["mlp", "conv"])
+def test_params_are_read_only_views_of_one_vector(cfg):
+    for p in (make_params(cfg), params_from_bytes(params_to_bytes(make_params(cfg)))):
+        for vec in (p.theta, p.m, p.v):
+            with pytest.raises(ValueError):
+                vec[0] = 1.0
+        for k, layer in p.layers.items():
+            assert np.shares_memory(layer, p.flat()), k
+            with pytest.raises(ValueError):
+                layer *= 2.0
+        with pytest.raises(TypeError):
+            p.layers["wp"] = p.layers["wp"] * 2.0
+        with pytest.raises(ValueError):
+            p.with_flat(p.flat()[:-1])
+
+
 @pytest.mark.parametrize(
     "change",
     [{"hidden": 0}, {"n_actions": 0}, {"conv_filters": 0}, {"extra_dim": -1},
@@ -166,14 +182,11 @@ def test_backward_matches_fd_per_layer(cfg):
         return float((wl * logits).sum() + (wv * values).sum())
 
     _, _, cache = _forward_cached(p, img, ext)
-    grads = _backward(p, cache, wl, wv)
-    fd = fd_grad(loss_of, p.flat())
-    i = 0
-    for name in cfg.param_names():
-        n = p.layers[name].size
-        err = rel_err(grads[name].ravel(), fd[i:i + n])
+    grad = _backward(p, cache, wl, wv)
+    fd = cfg.views(fd_grad(loss_of, p.flat()))
+    for name, g in cfg.views(grad).items():
+        err = rel_err(g, fd[name])
         assert err < 1e-6, f"layer {name}: rel err {err:.2e}"
-        i += n
     logits, values = forward(p, img[:0], ext[:0])
     assert logits.shape == (0, cfg.n_actions) and values.shape == (0,)
 
@@ -202,10 +215,8 @@ def test_ppo_loss_grads_match_fd(cfg):
         stats, _ = _ppo_loss_grads(p.with_flat(vec), batch, ppo)
         return stats["total_loss"]
 
-    _, grads = _ppo_loss_grads(p, batch, ppo)
-    fd = fd_grad(loss_of, p.flat())
-    an = np.concatenate([grads[k].ravel() for k in cfg.param_names()])
-    assert rel_err(an, fd) < 1e-4
+    _, grad = _ppo_loss_grads(p, batch, ppo)
+    assert rel_err(grad, fd_grad(loss_of, p.flat())) < 1e-4
 
 
 def test_ppo_loss_value_clip_branch_matches_fd():
@@ -222,10 +233,8 @@ def test_ppo_loss_value_clip_branch_matches_fd():
         stats, _ = _ppo_loss_grads(p.with_flat(vec), batch, ppo)
         return stats["total_loss"]
 
-    _, grads = _ppo_loss_grads(p, batch, ppo)
-    fd = fd_grad(loss_of, p.flat())
-    an = np.concatenate([grads[k].ravel() for k in MLP64.param_names()])
-    assert rel_err(an, fd) < 1e-4
+    _, grad = _ppo_loss_grads(p, batch, ppo)
+    assert rel_err(grad, fd_grad(loss_of, p.flat())) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -446,28 +455,28 @@ def test_normalize_advantages():
 
 
 def test_grad_norm_and_clip():
-    grads = {"a": np.array([3.0]), "b": np.array([4.0])}
-    assert global_grad_norm(grads) == pytest.approx(5.0)
-    clipped = clip_grads(grads, 0.5)
-    assert global_grad_norm(clipped) == pytest.approx(0.5)
-    assert np.allclose(clipped["a"], [0.3])
-    untouched = clip_grads(grads, 10.0)
-    assert np.array_equal(untouched["a"], grads["a"])
+    cfg = NetConfig(image_shape=(1,), extra_dim=0, n_actions=1, hidden=1, dtype="float64")
+    grad = np.zeros(cfg.n_params)
+    cfg.views(grad)["w1"][:] = 3.0
+    cfg.views(grad)["bv"][:] = 4.0
+    assert global_grad_norm(cfg, grad) == pytest.approx(5.0)
+    clipped = clip_grads(cfg, grad, 0.5)
+    assert global_grad_norm(cfg, clipped) == pytest.approx(0.5)
+    assert np.allclose(cfg.views(clipped)["w1"], [0.3])
+    untouched = clip_grads(cfg, grad, 10.0)
+    assert np.array_equal(cfg.views(untouched)["w1"], cfg.views(grad)["w1"])
 
 
 def test_adam_step_hand_computed():
     cfg = NetConfig(image_shape=(1,), extra_dim=0, n_actions=2, hidden=2,
                     dtype="float64")
     p = make_params(cfg)
-    g = {k: np.ones_like(v) for k, v in p.layers.items()}
     lr, eps = 0.1, 1e-8
-    q = adam_step(p, g, lr, eps)
+    q = adam_step(p, np.ones(p.n_params), lr, eps)
     # t=1: m_hat = g, v_hat = g^2 -> step = lr * g / (|g| + eps)
-    for k in p.layers:
-        expect = p.layers[k] - lr * 1.0 / (1.0 + eps)
-        assert np.allclose(q.layers[k], expect, atol=1e-12)
-        assert np.allclose(q.m[k], 0.1 * np.ones_like(q.m[k]))
-        assert np.allclose(q.v[k], 0.001 * np.ones_like(q.v[k]))
+    assert np.allclose(q.theta, p.theta - lr * 1.0 / (1.0 + eps), atol=1e-12)
+    assert np.allclose(q.m, 0.1 * np.ones_like(q.m))
+    assert np.allclose(q.v, 0.001 * np.ones_like(q.v))
     assert q.adam_t == 1 and p.adam_t == 0
 
 
@@ -632,6 +641,7 @@ def _ref_loss_grads(params, batch, config):
     dvals = np.where(l_raw >= l_clip, vals - targets, np.where(v_band, v_clip - targets, 0.0))
     dvalues = (config.vf_coeff / b) * dvals
     grads = _ref_backward(params, cache, dlogits.astype(dt), dvalues.astype(dt))
+    grad = np.concatenate([grads[k].ravel() for k in params.config.param_shapes()])
     stats = {
         "policy_loss": float(pg_loss),
         "value_loss": float(value_loss),
@@ -640,7 +650,7 @@ def _ref_loss_grads(params, batch, config):
         "clip_fraction": float(np.mean(np.abs(ratio - 1.0) > eps)),
         "total_loss": float(total),
     }
-    return stats, grads
+    return stats, grad
 
 
 def _ref_ppo_update(params, traj, advantages, targets, config, lr):
@@ -653,8 +663,9 @@ def _ref_ppo_update(params, traj, advantages, targets, config, lr):
              adv.reshape(b).astype(dt), np.asarray(targets, dtype=np.float64).reshape(b).astype(dt))
     stats = {}
     for _ in range(config.epochs):
-        stats, grads = _ref_loss_grads(params, batch, config)
-        params = adam_step(params, clip_grads(grads, config.max_grad_norm), lr, config.adam_eps)
+        stats, grad = _ref_loss_grads(params, batch, config)
+        params = adam_step(params, clip_grads(params.config, grad, config.max_grad_norm), lr,
+                           config.adam_eps)
     return replace(params, updates=params.updates + 1), stats
 
 
@@ -698,8 +709,9 @@ def test_ppo_update_matches_allocating_reference(cfg, dtype):
             assert rel_err(np.float64(stats[k]), np.float64(ref_stats[k])) <= tol, k
         assert 0.0 < stats["clip_fraction"] < 1.0
         assert (params.adam_t, params.updates) == (ref.adam_t, ref.updates)
-        for k in cfg.param_names():
-            for a, b in ((params.layers, ref.layers), (params.m, ref.m), (params.v, ref.v)):
+        for a, b in ((params.theta, ref.theta), (params.m, ref.m), (params.v, ref.v)):
+            a, b = params.config.views(a), params.config.views(b)
+            for k in a:
                 assert a[k].dtype == b[k].dtype and rel_err(a[k], b[k]) <= tol, k
 
 
@@ -739,10 +751,9 @@ def test_checkpoint_round_trip_preserves_everything():
     q = params_from_bytes(data)
     assert q.config == p.config
     assert q.adam_t == p.adam_t and q.updates == p.updates
-    for k in p.layers:
-        assert np.array_equal(q.layers[k], p.layers[k])
-        assert np.array_equal(q.m[k], p.m[k])
-        assert np.array_equal(q.v[k], p.v[k])
+    assert np.array_equal(q.theta, p.theta)
+    assert np.array_equal(q.m, p.m)
+    assert np.array_equal(q.v, p.v)
     assert params_to_bytes(q) == data
 
 
@@ -762,6 +773,8 @@ def test_checkpoint_rejects_corruption():
         params_from_bytes(data[:-4])
     with pytest.raises(ValueError):
         params_from_bytes(data + b"\x00\x00")
+    with pytest.raises(ValueError, match="floats"):
+        params_from_bytes(data + b"\0" * 4)
 
 
 def _with_header(data: bytes, edit) -> bytes:
