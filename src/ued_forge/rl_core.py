@@ -28,7 +28,10 @@ Batch activations and their gradients are stored feature-major, (features,
 B): each matrix product is written in that orientation (``w1.T @ featT``) and
 every other line works on the (B, features) view ``.T``, so sums over the
 batch or a row's actions run along contiguous memory. A single row rounds as
-in row-major order, and :func:`forward` returns C-contiguous logits.
+in row-major order, and :func:`forward` returns C-contiguous logits. The
+observations are written once, feature-major too: a rollout fills one
+(F, T, N) block per policy (F = prod(image_shape) + extra_dim), and the
+``mlp`` update reads its (F, T*N) reshape in place as the batch features.
 
 Rollouts step a batch of environments for a fixed number of steps, sampling
 actions from the policy. Each environment owns an independent random stream
@@ -342,16 +345,34 @@ def log_softmax(logits: np.ndarray, out=None, scratch=None) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """Fixed-length batched rollout record, time-major (T, N, ...)."""
+    """Fixed-length batched rollout record, time-major (T, N, ...).
 
-    images: np.ndarray
-    extras: np.ndarray
+    The observations are one feature-major block ``features``, (F, T, N):
+    feature f of env n at step t, where the F = prod(image_shape) + extra_dim
+    features are a step's flattened image followed by its extras. Its
+    (F, T*N) reshape is the (F, B) feature matrix that :func:`ppo_update`
+    reads in place. ``images`` (T, N, *image_shape) and ``extras``
+    (T, N, extra_dim) are views of it.
+    """
+
+    features: np.ndarray
+    image_shape: tuple[int, ...]
     actions: np.ndarray
     log_probs: np.ndarray
     values: np.ndarray
     rewards: np.ndarray
     dones: np.ndarray
     bootstrap_values: np.ndarray
+
+    @property
+    def images(self) -> np.ndarray:
+        n_img = math.prod(self.image_shape)
+        return np.moveaxis(self.features[:n_img], 0, -1).reshape(
+            self.features.shape[1:] + self.image_shape)
+
+    @property
+    def extras(self) -> np.ndarray:
+        return np.moveaxis(self.features[math.prod(self.image_shape):], 0, -1)
 
     @property
     def n_steps(self) -> int:
@@ -501,10 +522,11 @@ def rollout(
     if batch is None:
         batch = _EnvRows(env, states, observations, cfg)
 
-    # Group-major, so that each group's trajectory is a contiguous view.
+    # Group-major, so that each group's trajectory is a contiguous view; each
+    # group's observations are one feature-major (F, T, n) block.
     lead = (n_groups, n_steps, n)
-    images = np.zeros(lead + tuple(cfg.image_shape), dtype=np.float32)
-    extras = np.zeros(lead + (cfg.extra_dim,), dtype=np.float32)
+    n_feat = math.prod(cfg.image_shape) + cfg.extra_dim
+    features = np.zeros((n_groups, n_feat, n_steps, n), dtype=np.float32)
     actions = np.zeros(lead, dtype=np.int64)
     log_probs = np.zeros(lead, dtype=np.float64)
     values = np.zeros(lead, dtype=np.float64)
@@ -522,9 +544,8 @@ def rollout(
 
     for t in range(n_steps):
         img, ext = batch.encode()
-        images[:, t] = img.reshape(images.shape[:1] + images.shape[2:])
-        extras[:, t] = ext.reshape(extras.shape[:1] + extras.shape[2:])
         for g, rows_g in enumerate(groups):
+            _features(img[rows_g], ext[rows_g], None, out=features[g, :, t].T)
             logits[rows_g], values[g, t] = forward(policies[g], img[rows_g], ext[rows_g])
         logp = log_softmax(logits)
         for e in draw_one:
@@ -557,9 +578,10 @@ def rollout(
             dones[g, t, i] = res.done
 
     img, ext = batch.encode()
-    trajs = [Trajectory(images[g], extras[g], actions[g], log_probs[g], values[g], rewards[g],
-                        dones[g], np.asarray(forward(policies[g], img[rows_g], ext[rows_g])[1],
-                                             dtype=np.float64))
+    trajs = [Trajectory(features[g], tuple(cfg.image_shape), actions[g], log_probs[g], values[g],
+                        rewards[g], dones[g],
+                        np.asarray(forward(policies[g], img[rows_g], ext[rows_g])[1],
+                                   dtype=np.float64))
              for g, rows_g in enumerate(groups)]
     final = [batch.state(e) for e in rows]
     if not grouped:
@@ -599,12 +621,14 @@ def adam_step(params: ActorCriticParams, grad: np.ndarray, lr: float, eps: float
     return replace(params, theta=theta, m=m, v=v, adam_t=t)
 
 
-def _ppo_workspace(cfg: NetConfig, images, extras, acts) -> dict:
+def _ppo_workspace(cfg: NetConfig, feat, acts) -> dict:
     """The arrays every epoch of one PPO update reuses: the inputs that do not
     change between epochs (the ``mlp`` features and the action one-hot), and
     one array per (B, hidden) or (B, n_actions) temporary, written in place.
     Each is stored feature-major, (features, B), and handed out as its
-    (B, features) view ``.T``; the features go there straight from the inputs."""
+    (B, features) view ``.T``. ``feat`` is the batch's (B, F) observation
+    features; a rollout trajectory's block already has that layout, so the
+    ``mlp`` torso reads it in place, and copies only other layouts or dtypes."""
     b, dt = len(acts), cfg.np_dtype
     work = {k: np.empty((cfg.hidden, b), dt).T for k in ("h1", "h2", "dh2")}
     for k in ("logits", "logp", "pi", "tmp_a", "dlogits"):
@@ -612,8 +636,7 @@ def _ppo_workspace(cfg: NetConfig, images, extras, acts) -> dict:
     work["one_hot"] = np.zeros((cfg.n_actions, b), dt).T
     work["one_hot"][np.arange(b), acts] = 1.0
     if cfg.torso == "mlp":
-        feat = np.empty((cfg.param_shapes()["w1"][0], b), dt).T
-        work["feat"] = _features(images, extras, dt, out=feat)
+        work["feat"] = np.asfortranarray(feat, dtype=dt)
     return work
 
 
@@ -624,7 +647,8 @@ def _ppo_loss_grads(params, batch, config: PpoConfig, work=None):
     dt = params.config.np_dtype
     b = images.shape[0]
     eps = config.clip
-    w = work if work is not None else _ppo_workspace(params.config, images, extras, acts)
+    w = work if work is not None else _ppo_workspace(
+        params.config, _features(images, extras, dt), acts)
 
     logits, vals, cache = _forward_cached(params, images, extras, w)
     logp_all = log_softmax(logits, out=w["logp"], scratch=w["pi"])
@@ -699,9 +723,11 @@ def ppo_update(
     """
     if lr is None:
         lr = config.lr
-    dt = params.config.np_dtype
+    cfg, dt = params.config, params.config.np_dtype
     b = traj.n_steps * traj.n_envs
-    img = traj.images.reshape((b,) + tuple(params.config.image_shape))
+    img = traj.images.reshape((b,) + tuple(cfg.image_shape))
+    if cfg.torso == "conv":  # one contiguous copy for every epoch's im2col
+        img = np.ascontiguousarray(img, dtype=dt)
     ext = traj.extras.reshape(b, -1)
     acts = traj.actions.reshape(b)
     old_logp = traj.log_probs.reshape(b).astype(dt)
@@ -709,7 +735,7 @@ def ppo_update(
     adv = normalize_advantages(np.asarray(advantages, dtype=np.float64)).reshape(b).astype(dt)
     targets = np.asarray(targets, dtype=np.float64).reshape(b).astype(dt)
     batch = (img, ext, acts, old_logp, old_values, adv, targets)
-    work = _ppo_workspace(params.config, img, ext, acts)
+    work = _ppo_workspace(cfg, traj.features.reshape(-1, b).T, acts)
 
     stats = {}
     for _ in range(config.epochs):

@@ -835,9 +835,12 @@ def _save_run(out_dir: str, config: UedConfig, master: rng_mod.Key, state: RunSt
         if net is not None:
             save_params(net, os.path.join(out_dir, f"{name}.bin"))
             payload[name] = _b64(net)
-    with open(os.path.join(out_dir, "state.json"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-        fh.write("\n")
+    # Replace state.json whole, so that a save that fails leaves the last one.
+    path = os.path.join(out_dir, "state.json")
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    with open(path + ".tmp", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    os.replace(path + ".tmp", path)
 
 
 def load_run_state(path) -> dict:

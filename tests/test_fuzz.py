@@ -108,7 +108,8 @@ def test_ued_config_from_dict_fuzz(run_states, data):
     config = dict(run_states[data.draw(st.sampled_from(sorted(run_states)))]["config"])
     for _ in range(data.draw(st.integers(1, 3))):
         key = data.draw(st.sampled_from(UED_KEYS + ["bogus"]))
-        if key == "ppo" and data.draw(st.booleans()):
+        # An earlier draw may have dropped "ppo" or made it a non-object.
+        if key == "ppo" and isinstance(config.get("ppo"), dict) and data.draw(st.booleans()):
             ppo = dict(config["ppo"])
             ppo[data.draw(st.sampled_from(PPO_KEYS + ["bogus"]))] = data.draw(JSON)
             config["ppo"] = ppo

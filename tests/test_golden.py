@@ -4,13 +4,18 @@ Every case trains 3 cycles into one directory and resumes the saved run
 into a fresh directory for the remaining 2 cycles of its budget. The
 SHA-256 of every file written is pinned, so a refactor that changes any
 number, any metrics line or any checkpoint byte fails here. On a mismatch
-the assertion message lists the observed digests.
+the assertion message lists the observed digests and the platform: the
+digests were recorded on OpenBLAS's SkylakeX (AVX-512) kernel, and another
+BLAS kernel family or numpy SIMD level rounds differently.
 """
 
+import ctypes
+import glob
 import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from ued_forge.rl_core import PpoConfig
@@ -158,7 +163,26 @@ def run_case(case: str, root) -> dict:
     return {**_digests(part, "part"), **_digests(rest, "rest")}
 
 
+def platform() -> str:
+    """OpenBLAS's runtime kernel and numpy's active SIMD targets."""
+    core = "unknown"
+    for lib in glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*")):
+        try:
+            corename = ctypes.CDLL(lib).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    simd = " ".join(k for k, on in __cpu_features__.items() if on)
+    return f"OpenBLAS core {core}; numpy SIMD {simd}"
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_golden_digests(tmp_path, case):
     got = run_case(case, str(tmp_path))
-    assert got == GOLDEN[case], json.dumps(got, indent=4, sort_keys=True)
+    assert got == GOLDEN[case], (
+        f"on {platform()}:\n" + json.dumps(got, indent=4, sort_keys=True))

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ued_forge import rl_core
 from ued_forge import rng as R
 from ued_forge.env_core import AutoReplayWrapper
 from ued_forge.maze import MazeEnv, parse_level
@@ -260,11 +261,19 @@ def naive_gae(rewards, values, dones, bootstrap, gamma, lam):
     return adv
 
 
+def traj_of(images, extras, **rest):
+    """A Trajectory whose feature block holds copies of the (T, N, ...)
+    ``images`` and ``extras``; ``rest`` are its other fields."""
+    t, n, *shape = images.shape
+    flat = np.concatenate([images.reshape(t, n, math.prod(shape)), extras], axis=2)
+    return Trajectory(np.ascontiguousarray(np.moveaxis(flat, 2, 0)), tuple(shape), **rest)
+
+
 def traj_from_arrays(rewards, values, dones, bootstrap):
     t_len, n = rewards.shape
-    return Trajectory(
-        images=np.zeros((t_len, n, 1)),
-        extras=np.zeros((t_len, n, 0)),
+    return traj_of(
+        np.zeros((t_len, n, 1)),
+        np.zeros((t_len, n, 0)),
         actions=np.zeros((t_len, n), dtype=np.int64),
         log_probs=np.zeros((t_len, n)),
         values=values,
@@ -680,8 +689,8 @@ def synthetic_traj(params, seed, t_len=32, n=8):
                              ext.reshape(-1, cfg.extra_dim))
     acts = gen.integers(0, cfg.n_actions, t_len * n)
     logp = log_softmax(logits.astype(np.float64))[np.arange(t_len * n), acts]
-    return Trajectory(
-        images=img, extras=ext, actions=acts.reshape(t_len, n),
+    return traj_of(
+        img, ext, actions=acts.reshape(t_len, n),
         log_probs=(logp + gen.normal(0, 0.1, logp.size)).reshape(t_len, n),
         values=(values + gen.normal(0, 0.3, values.size)).reshape(t_len, n),
         rewards=gen.normal(0, 1, (t_len, n)).astype(np.float32),
@@ -713,6 +722,50 @@ def test_ppo_update_matches_allocating_reference(cfg, dtype):
             a, b = params.config.views(a), params.config.views(b)
             for k in a:
                 assert a[k].dtype == b[k].dtype and rel_err(a[k], b[k]) <= tol, k
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_ppo_update_reads_the_rollout_block_in_place(monkeypatch, dtype):
+    env, params, states, obs = fresh_roll_setup()
+    params = make_params(replace(params.config, dtype=dtype))
+    traj, _ = rollout(env, params, states, obs, 16, R.key_from_seed(0))
+    b = traj.n_steps * traj.n_envs
+    assert traj.features.shape == (3 * 3 * 3 + 4, 16, 4)
+    assert np.shares_memory(traj.images, traj.features)
+    assert np.shares_memory(traj.extras, traj.features)
+    made, original = [], rl_core._ppo_workspace
+
+    def spy(*args):
+        made.append(original(*args))
+        return made[-1]
+
+    monkeypatch.setattr(rl_core, "_ppo_workspace", spy)
+    adv, targets = compute_gae(traj, 0.99, 0.95)
+    ppo_update(params, traj, adv, targets, PpoConfig(epochs=2))
+    [work] = made
+    feat_t = work["feat"].T  # the (F, B) matrix the products read
+    assert feat_t.flags.c_contiguous
+    assert np.array_equal(feat_t, traj.features.reshape(-1, b))
+    # Read in place when the dtypes agree; cast once for a float64 net.
+    assert np.shares_memory(feat_t, traj.features) == (dtype == "float32")
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("torso", ["mlp", "conv"])
+def test_ppo_update_on_rollout_block_matches_rebuilt_copies(torso, dtype):
+    env, params, states, obs = fresh_roll_setup()
+    params = make_params(replace(params.config, torso=torso, conv_filters=2, dtype=dtype))
+    traj, _ = rollout(env, params, states, obs, 16, R.key_from_seed(1))
+    adv, targets = compute_gae(traj, 0.99, 0.95)
+    ppo = PpoConfig(epochs=3, lr=1e-2)
+    rest = {k: getattr(traj, k) for k in ("actions", "log_probs", "values", "rewards",
+                                          "dones", "bootstrap_values")}
+    copied = traj_of(traj.images.copy(), traj.extras.copy(), **rest)
+    got, got_stats = ppo_update(params, traj, adv, targets, ppo)
+    want, want_stats = ppo_update(params, copied, adv, targets, ppo)
+    assert got_stats == want_stats
+    for a, b in ((got.theta, want.theta), (got.m, want.m), (got.v, want.v)):
+        assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])

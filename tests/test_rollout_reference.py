@@ -19,13 +19,13 @@ from ued_forge.maze import (
 )
 from ued_forge.rl_core import (
     NetConfig,
-    Trajectory,
     forward,
     init_params,
     log_softmax,
     rollout,
 )
 from test_maze_batch import PerEnv, mixed_size_level
+from test_rl_core import traj_of
 
 FIELDS = ("images", "extras", "actions", "log_probs", "values", "rewards", "dones",
           "bootstrap_values")
@@ -71,8 +71,9 @@ def reference_rollout(env, params, states, observations, n_steps, key):
             dones[t, e] = res.done
 
     _, bootstrap = forward(params, *encode())
-    traj = Trajectory(images, extras, actions, log_probs, values, rewards, dones,
-                      np.asarray(bootstrap, dtype=np.float64))
+    traj = traj_of(
+        images, extras, actions=actions, log_probs=log_probs, values=values, rewards=rewards,
+        dones=dones, bootstrap_values=np.asarray(bootstrap, dtype=np.float64))
     return traj, states
 
 
@@ -159,7 +160,8 @@ def test_two_policy_rollout_matches_two_rollouts(name, n_steps):
         single = rollout(env, params, states, observations, n_steps, key)
         assert_same((traj, final), single)
         assert_same(single, reference_rollout(env, params, states, observations, n_steps, key))
-        assert traj.images.flags.c_contiguous and traj.actions.flags.c_contiguous
+        # The update reads each group's (F, T, n) block as one (F, T*n) matrix.
+        assert traj.features.flags.c_contiguous and traj.actions.flags.c_contiguous
 
 
 def test_rollout_rejects_unequal_groups():

@@ -441,6 +441,30 @@ def test_resume_into_same_dir_continues_metrics(tmp_path):
         assert (run / name).read_bytes() == (full / name).read_bytes()
 
 
+def test_failed_save_keeps_the_previous_state(tmp_path, monkeypatch):
+    cfg = tiny_config(total_env_steps=5 * steps_per_cycle(tiny_config()))
+    full, run = train(cfg, seed=6), tmp_path / "run"
+    train(cfg, seed=6, out_dir=str(run), max_cycles=2)
+    assert sorted(os.listdir(run)) == ["metrics.jsonl", "params.bin", "state.json"]
+    saved = (run / "state.json").read_bytes()
+
+    dumps = json.dumps
+
+    def failing_dumps(obj, **kw):
+        if isinstance(obj, dict) and "master_key" in obj:  # the run state only
+            raise RuntimeError("serialisation failed")
+        return dumps(obj, **kw)
+
+    monkeypatch.setattr(json, "dumps", failing_dumps)
+    with pytest.raises(RuntimeError, match="serialisation"):
+        resume_run(run / "state.json", out_dir=str(run), max_cycles=1)
+    monkeypatch.undo()
+    assert (run / "state.json").read_bytes() == saved
+    resumed = resume_run(run / "state.json", out_dir=str(tmp_path / "rest"))
+    assert run_metrics(resumed) == run_metrics(full)[2:]
+    assert params_to_bytes(resumed.params) == params_to_bytes(full.params)
+
+
 def _with_minibatches(state_path, value, dest):
     """``state_path`` rewritten with ``ppo.minibatches``, as run states were
     written while PpoConfig had that field."""
