@@ -34,14 +34,16 @@ observations are written once, feature-major too: a rollout fills one
 ``mlp`` update reads its (F, T*N) reshape in place as the batch features.
 
 Rollouts step a batch of environments for a fixed number of steps, sampling
-actions from the policy. Each environment owns an independent random stream
-derived by key splitting, so a trajectory depends only on its key. One loop
-serves every env: each step encodes all observations, runs one forward pass
-per policy, samples every action at once by inverse CDF (one uniform per
-env) and advances the env's array form (:meth:`UnderspecifiedEnv.batch`).
+actions from the policy. A rollout key splits into an action stream, which
+gives every env's action uniforms up front, and an env stream, which gives
+each env the only generator its ``env.step`` draws from; so no action
+depends on what an env drew, and a trajectory depends only on its key. One
+loop serves every env: each step encodes all observations, runs one forward
+pass per policy, samples every action at once by inverse CDF (one uniform
+per env) and advances the env's array form (:meth:`UnderspecifiedEnv.batch`).
 The rows whose episode ends, and every row of an env without an array form,
 step through the env's own ``step``, so auto-resetting wrappers still pay
-the terminal reward and draw the next level from that env's stream. Several
+the terminal reward and draw the next level from that row's env stream. Several
 policies can share one rollout, each acting on its own group of rows (the
 PAIRED students on the same levels). A rollout returns the trajectory and
 the final states; only an env without an array form needs the starting
@@ -501,12 +503,14 @@ def rollout(
 
     Returns (Trajectory, final states). ``observations`` are the states'
     starting observations; they may be None when ``env`` has a batch form,
-    which encodes the states itself. Each env consumes its own split of
-    ``key``: one uniform per step for its action, then whatever ``env.step``
-    draws. ``params`` and ``key`` may also be sequences of G policies and
-    keys: the states then form G equal, contiguous groups, each acting and
-    drawing exactly as a rollout of its own states would, and the result is
-    (list of G trajectories, list of G final-state lists).
+    which encodes the states itself. ``key`` splits into an action key and an
+    env key. Env ``i`` samples its action at step ``t`` with the uniform
+    ``generator(action key).random((N, n_steps))[i, t]``, and ``env.step``
+    draws only from ``generator(split(env key, N)[i])``. ``params`` and
+    ``key`` may also be sequences of G policies and keys: the states then
+    form G equal, contiguous groups, each acting and drawing exactly as a
+    rollout of its own states would, and the result is (list of G
+    trajectories, list of G final-state lists).
     """
     grouped = not isinstance(params, ActorCriticParams)
     policies, keys = (list(params), list(key)) if grouped else ([params], [key])
@@ -517,7 +521,12 @@ def rollout(
     n = n_all // n_groups
     groups = [slice(g * n, (g + 1) * n) for g in range(n_groups)]
     cfg = policies[0].config
-    gens = [rng_mod.generator(k) for group_key in keys for k in rng_mod.split(group_key, n)]
+    uniforms, gens = [], []
+    for group_key in keys:
+        k_act, k_env = rng_mod.split(group_key)
+        uniforms.append(rng_mod.generator(k_act).random((n, n_steps)))
+        gens += [rng_mod.generator(k) for k in rng_mod.split(k_env, n)]
+    uniforms = np.concatenate(uniforms)
     batch = env.batch(states)
     if batch is None:
         batch = _EnvRows(env, states, observations, cfg)
@@ -534,13 +543,6 @@ def rollout(
     dones = np.zeros(lead, dtype=np.bool_)
     logits = np.zeros((n_all, cfg.n_actions), dtype=np.float64)
     rows = np.arange(n_all)
-    # A row the batch stepped draws the rest of its uniforms in one call,
-    # which gives the doubles of one call per step (Philox). Before the row
-    # steps through ``env.step``, its generator goes back to the block's start
-    # and redraws the part used, so ``env.step`` finds it where it would.
-    uniforms = np.zeros((n_steps, n_all))
-    block = [None] * n_all  # (first step, generator state) of a row's block
-    draw_one, draw_block = list(range(n_all)), []
 
     for t in range(n_steps):
         img, ext = batch.encode()
@@ -548,29 +550,17 @@ def rollout(
             _features(img[rows_g], ext[rows_g], None, out=features[g, :, t].T)
             logits[rows_g], values[g, t] = forward(policies[g], img[rows_g], ext[rows_g])
         logp = log_softmax(logits)
-        for e in draw_one:
-            uniforms[t, e] = gens[e].random()
-        for e in draw_block:
-            block[e] = (t, gens[e].bit_generator.state)
-            uniforms[t:, e] = gens[e].random(n_steps - t)
         # Inverse-CDF sampling: the action is the number of cumulative
         # probabilities at or below u times their total.
         cdf = np.cumsum(np.exp(logp), axis=1)
-        a = np.minimum((cdf <= (uniforms[t] * cdf[:, -1])[:, None]).sum(axis=1),
+        a = np.minimum((cdf <= (uniforms[:, t] * cdf[:, -1])[:, None]).sum(axis=1),
                        logp.shape[1] - 1)
         actions[:, t] = a.reshape(n_groups, n)
         log_probs[:, t] = logp[rows, a].reshape(n_groups, n)
         # Rows the batch did not advance (episode ends, and every row of an
         # env without a batch form) step through the env itself.
         ends = batch.step(a)
-        draw_block = [e for e in draw_one if not ends[e]]
-        draw_one = np.flatnonzero(ends).tolist()
-        for e in draw_one:
-            if block[e] is not None:
-                first, block_state = block[e]
-                gens[e].bit_generator.state = block_state
-                gens[e].random(t + 1 - first)
-                block[e] = None
+        for e in np.flatnonzero(ends):
             res = env.step(batch.state(e), int(a[e]), gens[e])
             batch.set_state(e, res.state, res.observation)
             g, i = divmod(e, n)

@@ -26,111 +26,111 @@ SEED = 1
 GOLDEN = {
     "accel": {
         "part/buffer.txt":
-            "238e27482ae2451afbc2b67b01a6ba4313f1e22c616e91597de1905e8ea1e49c",
+            "f872023cac99617b990edf68f5dda742ef70ec16abb383d41a6dba3152c37228",
         "part/metrics.jsonl":
-            "3322a4d8e2ce08d6980c98e11fae45e544917bbe498544b84d4849a35b8f355f",
+            "53d8f139adf6fcf0ec754658f31c1bc05559ce728a2ee5bca1ab3da89f5b240d",
         "part/params.bin":
-            "fa84d2ffd3c781ceafbe7b1c2a9cc318e6f42322342a3c32a4deed8fbb397e00",
+            "af746d1bdc88df7dd00bafc601de385e08375bffdde5eba6a87db126a46f74ac",
         "part/state.json":
-            "ce815f94ffeff89834dc89ca62029309a44414762b24182d93394c0b7f018fd8",
+            "b3f6969006a6b58356b403db894346a5e203fd4bf0c7438c68c4dc846b61b49b",
         "rest/buffer.txt":
-            "8c15e3ffd285d69b9c9daa7204feb89b571326868405c37a83c7ffd9458939c1",
+            "6e8540c35b7edb174b856771c7c8a6c78498ad14f6ddcd25d593f2bafc437194",
         "rest/metrics.jsonl":
-            "700f6539954d960fae8307e46a7e34396ddaf21fc7e838f175f163bbb3228b17",
+            "1dc4434d4722e66f01613fd661d4243a96f00a1b32b6bdc2f69ff4fd7d2bd3ca",
         "rest/params.bin":
-            "986cbd39837c3ced6005b07a188364ae4c165e6500db1b2aa576044a4532dc28",
+            "e74ebd8a6521f2b434f851031e9d332cd76bd996dac3072666dbbbab83a0407f",
         "rest/state.json":
-            "04df16442d98b367f2480073199ca64bd12940c871ce7e3745248b4469af1c7d",
+            "190dc4f6fd38b26ee9ed407317c5bc7db529db8fd1e8731eadd6b94d61097e8f",
     },
     "dr": {
         "part/metrics.jsonl":
-            "1eb16e550b16cb0f8a9a72b8ea6abc411c881a76c0e5ca82dae72e45fdf46fac",
+            "fe903b2204eca582fa4315efff7c132977f461913fa4f37c7c17ac56aca81877",
         "part/params.bin":
-            "8713f6625f17bb9c68bc968bdeae1f02649249c84e553e778e99c8d3d2dab6da",
+            "944e9366919ca253dcf05ab6d1b6e8067250a35fbbfeb994189d17974c3a8ab7",
         "part/state.json":
-            "8a0c2f7060c007b27aecde0493d214f0a10f3a74f9a8a53e16d06e3a670a1896",
+            "e06077d55b463ce975be6df5e35cccb5ec5c672752cc322b1bb9325217f3695a",
         "rest/metrics.jsonl":
-            "f2c23d2ab60c701f0fa64e6cec0d270703760435981ac8f16ef42e8d72149a67",
+            "f356f7dfeb3870157b37dd58b755feac9810f94db7184ec1cabf6341bc54deb9",
         "rest/params.bin":
-            "23a0fc55cddda4802c411c44949c357bca7e0b05e5f9c69b3c94f7b25fc4a8cf",
+            "5782529c82103a62c8ca7ad3a8f1a41f48a1331b3b2a89a0be0b29d5603e7540",
         "rest/state.json":
-            "620195481f0963b656898e93ff131e6fd6ef9504e2d2b876d6c13e6be6b23d82",
+            "d0c90e904bd327a4cecc85c60b60871236f665abd90090a77d68f4de859b2330",
     },
     "paired": {
         "part/adversary.bin":
-            "6ff08ce3cda6ed8470eb6c4a599041bf50ff95ff0ff481e289dcbffba20974f1",
+            "e3305221cfdeb17a4b87e8309dd4560a6f67d2afee528755c6b5beb6f21a0eb5",
         "part/antagonist.bin":
-            "bd59e9c92c28d3c42a171fa487ad6e4617b5c9d84e64b098b2bc403a783e780c",
+            "eae4d8ea4bb429b9aa0cb7c1272e841cbc8c9c31b478e3f23a4132f465094ea0",
         "part/metrics.jsonl":
-            "2357c2cbaf5e9c636a1519b11ab83ef705ede4b56bdce7e0693a5963c9d65a36",
+            "c0bdea27eeadc5dfcae2e9c687b7ced602100c2d72bcdebe1428bce9ab216ddf",
         "part/params.bin":
-            "269348e47b78b7c66577201578c4d15b43c863866407ce2f8652f8e9db4cd5df",
+            "17cee9e9d596d79fa632b67d5a16283f11222d7e138bd0192fc9638990a1ddff",
         "part/state.json":
-            "2aac81aee47cdfca6d38b22e593846ca347859cb9a85940c14474edace46222f",
+            "2b855441d0641bcee3cbb3e7f1165208586f1ca76d53dab16de5bca133376af6",
         "rest/adversary.bin":
-            "e69299f58de2733da3f7b1a43ee9fdcbf0de44ab270416918f0afd764019d297",
+            "41d6a104a4d3f3d6bbb83aef2632600e375813b0c522adf62be15cf0d5929565",
         "rest/antagonist.bin":
-            "00e55a9a232fa7ade972036784de6863e109efe240437ba347cefa2346dfb4fc",
+            "ce96ffa4f7bc13e1c9c29005de728c341865401c6e8b96870de7877576433872",
         "rest/metrics.jsonl":
-            "bbc5b29c95a474b2d63f1e1eff776cfcdbe6d4e51b7a375728013ba8841b34a7",
+            "801e4a7f5933c5e6af7688abe4a144db2dcaa2c2c19c323b02c71cda72871e9d",
         "rest/params.bin":
-            "466cf3ab7a3e59f64b4f8c1a40f632c602ab3a0970f036cac0e75067eadd0c88",
+            "31acca24108718f22147bf87ebc5892fc93da4be4f59e55f3c31559f22ca8b89",
         "rest/state.json":
-            "781c02f891af831c731ebbbd5cba976e7be6f09c31fc73d873308b66e8537cad",
+            "532798115b45fc37fd69f724da86452017944dd2f0a2534efb38fd4f7437166c",
     },
     "plr": {
         "part/buffer.txt":
-            "4df67c26fa3478ea1f8f0219179d4891d5f0fc1fd3e2a37e7be4f8f88cb2172a",
+            "c797b257099891cd561983fb7cdd83c579f9c4acd3c19b5cf4fb364416aa8183",
         "part/metrics.jsonl":
-            "c64fcf45f88bbfc93a47da09feb36730fba91ba516b7378ddd81b376493b1625",
+            "ed767fc2ef3b1489fdbf434676ac01fa7df06c44a943fdd817b95d9c695fdf42",
         "part/params.bin":
-            "9ce07a1b5bca1f0361b68e2cccaa3a310fa0fbe0aa02d4e8c1c4474f3812b03f",
+            "230f9d6ec6e916165994b892fe6d72731543d245cea5921bafce698924c59161",
         "part/state.json":
-            "851ce1d69aa125d0f4acd6eee396ae61244dd79335669effd2da5d6d4d7d1d55",
+            "3daccdd10ca34c396cca7bb40099701048e84e843f9a2ba41f42ccf2a9a0bd14",
         "rest/buffer.txt":
-            "d257213089a111c1bf232a529dc5d399d737c2e0cf34b3844d4ae11e0e678e2a",
+            "5ca7f30bc720ee3f2be22ce68e2ca891304523c39429294c78773eb979b2df41",
         "rest/metrics.jsonl":
-            "de3570d0f3634b46368908551756d992189bf00826ceb8448b951cd9f4ea951e",
+            "84ffbf72135970faad75c84cfe5fe023e07e3a59d77eb1819dd565f046640ea8",
         "rest/params.bin":
-            "c281c2e018ae98baf4582135af57eb823cccf193e008518f5f6c4410360bcc1f",
+            "4fff9c6d4f9e3902e6cc36461eff1f0c9f6ca767d859b3726e923fb11872d876",
         "rest/state.json":
-            "d61b404df322bdbb37d5066b28fcd631dc8e5091c08caa49f331306de029e97a",
+            "585ba8e0c71c339067398b7edd0223bea2499bb3628a4dd3932576d6020c0b20",
     },
     "plr_pvl": {
         "part/buffer.txt":
-            "a42ad2a641a4efcbdac5e09e84d935c4f683316838e1cf9d84c793243ea44e43",
+            "9a5496cacf7391d57e8c7d3cadf3b5148a0a911d04da5c7af61ec9a002b063fe",
         "part/metrics.jsonl":
-            "ac7c6c406619adde1e1692ac013a115e0c81077afea727b5dfdca275ec25486f",
+            "0abc7344b02fa414bbff3a36e5189e69326e889263812e701228c061c8a67c69",
         "part/params.bin":
-            "82ca448b4f14b93472ca44ff10bfe09aa54a1a8bf4e665c3f801d65c3766e5a1",
+            "230f9d6ec6e916165994b892fe6d72731543d245cea5921bafce698924c59161",
         "part/state.json":
-            "6c14bc524bd49d8f24a63c5677dea12b84f82c3dbae29925e5b7361d97eb1f51",
+            "ed8f25630fe383d80c6eb6702c11d9cdd491f04ded6ab7b3793175b74e901eb3",
         "rest/buffer.txt":
-            "c0d3b69b5cbfbd5a386c88fb7d29763273b98831eb75ef62dcbfaa54a72fa427",
+            "39735f8fea7ebb78c21c57f1748c1f14abc88760687ef5597d71b5b610c27b1a",
         "rest/metrics.jsonl":
-            "04c06f9a9bb9b50122f45846f52c0a5e397e75154edb784397031b0b0f7782b3",
+            "1803a00bbcf47c2b5d1c0e27edc5dc2329b960aceff893ac64b8d2a51c85ad21",
         "rest/params.bin":
-            "39e473f1a84152dc51f4ce1a7bff0f23063037114cfb651dab57cf0cfd40bb5a",
+            "cb32562d8a04653411c9d09f133b1297cf51917b843fc646ee407c836f5652ab",
         "rest/state.json":
-            "07523f83f9df635df569b6062bccac240bf0990a0e5c8b1c470d02987beb2230",
+            "eb7972ec0c250ce21bedab856bda9c50a9d63f8828407d8f6432e49e283b9e01",
     },
     "plr_robust": {
         "part/buffer.txt":
-            "238e27482ae2451afbc2b67b01a6ba4313f1e22c616e91597de1905e8ea1e49c",
+            "f872023cac99617b990edf68f5dda742ef70ec16abb383d41a6dba3152c37228",
         "part/metrics.jsonl":
-            "67f44181b1a202751339895e8997951bad6dc09f97521f07df78b40a23d7e276",
+            "33da9b4e63754c8b093e36814b0c29998d8630daab33c637223dc7d61f7a9faf",
         "part/params.bin":
-            "fa84d2ffd3c781ceafbe7b1c2a9cc318e6f42322342a3c32a4deed8fbb397e00",
+            "af746d1bdc88df7dd00bafc601de385e08375bffdde5eba6a87db126a46f74ac",
         "part/state.json":
-            "a80160f7bb9ce52131a46b1002377bd32a603f2702841873a1932c4181c78e6d",
+            "8c3280b2908e6bdc09e950cb81da604f2b7ffb4ea148c649e1ae09fc26e10a7c",
         "rest/buffer.txt":
-            "138f540063511600c4eee54d949c8bb91985ae2f7ad2fa3cca90cc3bf7e71d32",
+            "75d47444f0c1a59210745c4d3b3ad0f7dd7a73ba1f070d225e27f65951766106",
         "rest/metrics.jsonl":
-            "ec246da47981b28911b07dde13ce89f40428d23626c7efeb5476b784dd07f636",
+            "e30df7e00ed8bca3a8b148bd8315e574c882e9682ac6a9a5c5fa2cb2e4987556",
         "rest/params.bin":
-            "f5d9e195ed121e22b2024403b28b5bfc3b689017e972f7c038f0b413271b7415",
+            "28677624b281d001061dd45fa6837356c01200a5d2f895ce819d2bc4754e0f08",
         "rest/state.json":
-            "d213443c1ec51cbcf6930b900fd6a7262622b944dd83c88473a0a4c0fafb9cc3",
+            "1e005831c7105f3d9dcb1fea7b982aee168766731c3da51007bda63d89d99633",
     },
 }
 

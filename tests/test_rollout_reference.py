@@ -1,7 +1,11 @@
 """Rollouts against the loop they replaced: every env stepped through
-``env.step`` with one scalar uniform per env and step. Row groups, array
-forms and uniforms drawn in blocks must leave every byte of the trajectory
-and every final state as that loop makes them."""
+``env.step``, one row at a time. The rollout key splits into an action key,
+whose generator gives all (env, step) action uniforms in one draw, and an env
+key, split once more into each env's own generator for ``env.step``. Row
+groups and array forms must leave every byte of the trajectory and every
+final state as that loop makes them."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,10 +36,12 @@ FIELDS = ("images", "extras", "actions", "log_probs", "values", "rewards", "done
 
 
 def reference_rollout(env, params, states, observations, n_steps, key):
-    """The rollout loop with one scalar draw per env and step, and every
-    env stepped through ``env.step``."""
+    """The rollout loop with every env stepped through ``env.step`` on its
+    own env stream, and its action uniforms from a separate action stream."""
     n, cfg = len(states), params.config
-    gens = [R.generator(k) for k in R.split(key, n)]
+    k_act, k_env = R.split(key)
+    uniforms = R.generator(k_act).random((n, n_steps))
+    gens = [R.generator(k) for k in R.split(k_env, n)]
     states, observations = list(states), list(observations)
     images = np.zeros((n_steps, n) + tuple(cfg.image_shape), dtype=np.float32)
     extras = np.zeros((n_steps, n, cfg.extra_dim), dtype=np.float32)
@@ -59,7 +65,7 @@ def reference_rollout(env, params, states, observations, n_steps, key):
         logits, vals = forward(params, img, ext)
         values[t] = vals
         logp = log_softmax(logits.astype(np.float64))
-        u = np.array([g.random() for g in gens])
+        u = uniforms[:, t]
         cdf = np.cumsum(np.exp(logp), axis=1)
         a = np.minimum((cdf <= (u * cdf[:, -1])[:, None]).sum(axis=1), logp.shape[1] - 1)
         actions[t] = a
@@ -170,3 +176,32 @@ def test_rollout_rejects_unequal_groups():
         rollout(env, [params, params], states[:5], observations[:5], 3, [1, 2])
     with pytest.raises(ValueError, match="group"):
         rollout(env, [params, params], states, observations, 3, [1])
+
+
+@pytest.mark.parametrize("per_env", [False, True])
+def test_actions_depend_on_neither_env_draws_nor_group_size(per_env):
+    """Under a uniform policy (zero weights) the actions are the action
+    stream alone: a level source that draws k more uniforms per reset moves
+    none of them, and a rollout of the first m rows acts as those rows do in
+    a rollout of all of them."""
+    n_steps, maze = 40, MazeEnv(max_steps=MAX_STEPS, view_size=3)
+    inner = maze_starts(n_steps, R.generator(R.key_from_seed(5)))
+    states = [WrappedState(s, s.level) for s in inner]
+    observations = [maze.observe(s) for s in inner]
+    cfg = NetConfig(image_shape=(3, 3, 3), extra_dim=4, n_actions=3, hidden=8)
+    params = init_params(R.generator(R.key_from_seed(0)), cfg)
+    params = replace(params, theta=np.zeros_like(params.theta))
+
+    def run(k, m):
+        def level_source(gen):
+            gen.random(k)
+            return mixed_size_level(gen)
+        env = AutoResetWrapper(maze, level_source)
+        return rollout(PerEnv(env) if per_env else env, params, states[:m], observations[:m],
+                       n_steps, R.key_from_seed(9))
+
+    (traj, final), (traj_k, final_k) = run(0, len(states)), run(5, len(states))
+    assert traj.dones.sum(axis=0).min() >= 2 and final != final_k  # the env draws differ
+    assert traj.actions.tobytes() == traj_k.actions.tobytes()
+    for m in (1, 3):
+        assert run(0, m)[0].actions.tobytes() == traj.actions[:, :m].tobytes()
