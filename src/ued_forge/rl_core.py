@@ -521,12 +521,10 @@ def rollout(
     n = n_all // n_groups
     groups = [slice(g * n, (g + 1) * n) for g in range(n_groups)]
     cfg = policies[0].config
-    uniforms, gens = [], []
-    for group_key in keys:
-        k_act, k_env = rng_mod.split(group_key)
-        uniforms.append(rng_mod.generator(k_act).random((n, n_steps)))
-        gens += [rng_mod.generator(k) for k in rng_mod.split(k_env, n)]
-    uniforms = np.concatenate(uniforms)
+    streams = [rng_mod.split(group_key) for group_key in keys]  # (action key, env key)
+    uniforms = np.concatenate([rng_mod.generator(k_act).random((n, n_steps))
+                               for k_act, _ in streams])
+    gens = [rng_mod.generator(k) for _, k_env in streams for k in rng_mod.split(k_env, n)]
     batch = env.batch(states)
     if batch is None:
         batch = _EnvRows(env, states, observations, cfg)
