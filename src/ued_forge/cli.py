@@ -119,7 +119,13 @@ def _cmd_eval(args) -> int:
         except Exception as exc:
             print(f"error: cannot load checkpoint: {exc}", file=sys.stderr)
             return 1
-        view = params.config.image_shape[0]
+        cfg = params.config
+        view = cfg.image_shape[0] if cfg.image_shape else 0
+        if (tuple(cfg.image_shape) != (view, view, 3) or view % 2 == 0
+                or cfg.extra_dim != 4 or cfg.n_actions != 3):
+            print(f"error: checkpoint is not a maze student network (image {cfg.image_shape}, "
+                  f"extra_dim {cfg.extra_dim}, {cfg.n_actions} actions)", file=sys.stderr)
+            return 1
         env = MazeEnv(view_size=view)
         policy = network_policy(params, env, sample=args.sample)
 

@@ -27,7 +27,7 @@ from .maze import (
     load_levels,
     shortest_path_distances,
 )
-from .rl_core import ActorCriticParams, forward, log_softmax
+from .rl_core import ActorCriticParams, _features, forward, log_softmax
 
 _HOLDOUT_DIR = os.path.join(os.path.dirname(__file__), "holdouts")
 
@@ -64,7 +64,7 @@ def network_policy(params: ActorCriticParams, env, sample: bool = False):
 
     def policy(state, obs, rng: np.random.Generator) -> int:
         image, extra = env.encode_observation(obs)
-        logits, _ = forward(params, image[None], extra[None])
+        logits, _ = forward(params, _features(image[None], extra[None], np.float32))
         if not sample:
             return int(np.argmax(logits[0]))
         probs = np.exp(log_softmax(logits.astype(np.float64))[0]).tolist()

@@ -1,12 +1,13 @@
 """Actor-critic network with hand-written backprop, GAE, PPO, and rollouts.
 
-The network is deliberately small: the observation image is flattened (or
-passed through an optional 3x3 conv torso), concatenated with the extra
-feature vector, pushed through two tanh layers of width 32, and split into a
-policy head (logits) and a value head. Forward and backward passes are plain
-numpy, written out explicitly so they can be verified against central finite
-differences; Adam and global gradient-norm clipping are implemented here
-too.
+The network is deliberately small. Its one input is a (B, F) feature matrix:
+each row is an observation's flattened image followed by its extra feature
+vector (:func:`_features`, F = prod(image_shape) + extra_dim). The image
+part goes straight on (or through an optional 3x3 conv torso), then through
+two tanh layers of width 32, split into a policy head (logits) and a value
+head. Forward and backward passes are plain numpy, written out explicitly so
+they can be verified against central finite differences; Adam and global
+gradient-norm clipping are implemented here too.
 
 Training math follows clipped-surrogate PPO: per update, advantages are
 normalized to zero mean / unit variance over the batch, the policy maximizes
@@ -30,24 +31,24 @@ every other line works on the (B, features) view ``.T``, so sums over the
 batch or a row's actions run along contiguous memory. A single row rounds as
 in row-major order, and :func:`forward` returns C-contiguous logits. The
 observations are written once, feature-major too: a rollout fills one
-(F, T, N) block per policy (F = prod(image_shape) + extra_dim), and the
-``mlp`` update reads its (F, T*N) reshape in place as the batch features.
+(F, T, N) block per policy, each step's forward pass reads its (F, N) slice
+in place, and the update reads its (F, T*N) reshape as the batch features.
 
 Rollouts step a batch of environments for a fixed number of steps, sampling
 actions from the policy. A rollout key splits into an action stream, which
 gives every env's action uniforms up front, and an env stream, which gives
 each env the only generator its ``env.step`` draws from; so no action
 depends on what an env drew, and a trajectory depends only on its key. One
-loop serves every env: each step encodes all observations, runs one forward
-pass per policy, samples every action at once by inverse CDF (one uniform
-per env) and advances the env's array form (:meth:`UnderspecifiedEnv.batch`).
-The rows whose episode ends, and every row of an env without an array form,
-step through the env's own ``step``, so auto-resetting wrappers still pay
-the terminal reward and draw the next level from that row's env stream. Several
-policies can share one rollout, each acting on its own group of rows (the
-PAIRED students on the same levels). A rollout returns the trajectory and
-the final states; only an env without an array form needs the starting
-observations.
+loop serves every env: each step encodes all observations into the block,
+runs one forward pass per policy on its slice, samples every action at once
+by inverse CDF (one uniform per env) and advances the env's array form
+(:meth:`UnderspecifiedEnv.batch`). The rows whose episode ends, and every
+row of an env without an array form, step through the env's own ``step``,
+so auto-resetting wrappers still pay the terminal reward and draw the next
+level from that row's env stream. Several policies can share one rollout,
+each acting on its own group of rows (the PAIRED students on the same
+levels). A rollout returns the trajectory and the final states; only an env
+without an array form needs the starting observations.
 """
 
 from __future__ import annotations
@@ -254,28 +255,32 @@ def _im2col(x: np.ndarray) -> np.ndarray:
 
 
 def _features(x, extras, dt, out=None):
-    """Each row of ``x`` flattened, followed by its extras, in dtype ``dt`` or into ``out``."""
+    """Each row of ``x`` flattened, followed by its extras, in dtype ``dt`` or
+    into ``out``: for encoded observations, the network's (B, F) input."""
     b = x.shape[0]  # explicit sizes, so that a batch of zero rows reshapes too
     return np.concatenate([x.reshape(b, math.prod(x.shape[1:])), extras], axis=1,
                           dtype=dt if out is None else None, out=out, casting="unsafe")
 
 
-def _forward_cached(params: ActorCriticParams, images, extras, work=None):
-    """Logits, values and the activations :func:`_backward` needs. ``work``
-    (from :func:`_ppo_workspace`) holds the output arrays and the ``mlp``
-    features; without it every array is new."""
+def _forward_cached(params: ActorCriticParams, feat, work=None):
+    """Logits, values and the activations :func:`_backward` needs, for the
+    (B, F) features ``feat``. ``work`` (from :func:`_ppo_workspace`) holds
+    the output arrays and the torso's input in the net's dtype; without it
+    every array is new."""
     cfg = params.config
     p = params.layers
     w = work or {}
     cache = {}
     if cfg.torso == "conv":
-        cols = _im2col(np.ascontiguousarray(images, dtype=cfg.np_dtype))
+        n_img = math.prod(cfg.image_shape)
+        images = w["images"] if w else np.ascontiguousarray(feat[:, :n_img], dtype=cfg.np_dtype)
+        cols = _im2col(images.reshape(len(feat), *cfg.image_shape))
         cols = cols.reshape(cols.shape[0], math.prod(cols.shape[1:3]), cols.shape[-1])
         a0 = np.tanh(cols @ p["ck"].reshape(-1, cfg.conv_filters) + p["cb"])
         cache.update(cols=cols, a0=a0)
-        feat = _features(a0, extras, cfg.np_dtype)
+        feat = _features(a0, feat[:, n_img:], cfg.np_dtype)
     else:
-        feat = w["feat"] if "feat" in w else _features(images, extras, cfg.np_dtype)
+        feat = w["feat"] if w else feat.astype(cfg.np_dtype, copy=False)
     h1 = np.matmul(p["w1"].T, feat.T, out=w["h1"].T if w else None).T
     h1 += p["b1"]
     np.tanh(h1, out=h1)
@@ -289,16 +294,13 @@ def _forward_cached(params: ActorCriticParams, images, extras, work=None):
     return logits, values, cache
 
 
-def forward(params: ActorCriticParams, images: np.ndarray, extras: np.ndarray):
-    """Policy logits and state values for a batch of encoded observations."""
-    expected = tuple(params.config.image_shape)
-    if tuple(images.shape[1:]) != expected:
-        raise ValueError(f"image batch shape {images.shape[1:]} != {expected}")
-    if extras.shape[1:] != (params.config.extra_dim,):
-        raise ValueError(
-            f"extra batch dim {extras.shape[1:]} != ({params.config.extra_dim},)"
-        )
-    logits, values, _ = _forward_cached(params, images, extras)
+def forward(params: ActorCriticParams, feat: np.ndarray):
+    """Policy logits and state values for the (B, F) features of a batch of
+    encoded observations (see :func:`_features`)."""
+    n_feat = math.prod(params.config.image_shape) + params.config.extra_dim
+    if feat.ndim != 2 or feat.shape[1] != n_feat:
+        raise ValueError(f"feature batch shape {feat.shape} != (B, {n_feat})")
+    logits, values, _ = _forward_cached(params, feat)
     return np.ascontiguousarray(logits), values
 
 
@@ -350,31 +352,19 @@ class Trajectory:
     """Fixed-length batched rollout record, time-major (T, N, ...).
 
     The observations are one feature-major block ``features``, (F, T, N):
-    feature f of env n at step t, where the F = prod(image_shape) + extra_dim
-    features are a step's flattened image followed by its extras. Its
-    (F, T*N) reshape is the (F, B) feature matrix that :func:`ppo_update`
-    reads in place. ``images`` (T, N, *image_shape) and ``extras``
-    (T, N, extra_dim) are views of it.
+    feature f of env n at step t, in the layout of :func:`_features`.
+    ``features[:, t].T`` is the (N, F) network input of step t, and the
+    (F, T*N) reshape is the transposed (B, F) input that :func:`ppo_update`
+    reads in place.
     """
 
     features: np.ndarray
-    image_shape: tuple[int, ...]
     actions: np.ndarray
     log_probs: np.ndarray
     values: np.ndarray
     rewards: np.ndarray
     dones: np.ndarray
     bootstrap_values: np.ndarray
-
-    @property
-    def images(self) -> np.ndarray:
-        n_img = math.prod(self.image_shape)
-        return np.moveaxis(self.features[:n_img], 0, -1).reshape(
-            self.features.shape[1:] + self.image_shape)
-
-    @property
-    def extras(self) -> np.ndarray:
-        return np.moveaxis(self.features[math.prod(self.image_shape):], 0, -1)
 
     @property
     def n_steps(self) -> int:
@@ -545,8 +535,8 @@ def rollout(
     for t in range(n_steps):
         img, ext = batch.encode()
         for g, rows_g in enumerate(groups):
-            _features(img[rows_g], ext[rows_g], None, out=features[g, :, t].T)
-            logits[rows_g], values[g, t] = forward(policies[g], img[rows_g], ext[rows_g])
+            feat = _features(img[rows_g], ext[rows_g], None, out=features[g, :, t].T)
+            logits[rows_g], values[g, t] = forward(policies[g], feat)
         logp = log_softmax(logits)
         # Inverse-CDF sampling: the action is the number of cumulative
         # probabilities at or below u times their total.
@@ -565,11 +555,9 @@ def rollout(
             rewards[g, t, i] = res.reward
             dones[g, t, i] = res.done
 
-    img, ext = batch.encode()
-    trajs = [Trajectory(features[g], tuple(cfg.image_shape), actions[g], log_probs[g], values[g],
-                        rewards[g], dones[g],
-                        np.asarray(forward(policies[g], img[rows_g], ext[rows_g])[1],
-                                   dtype=np.float64))
+    feat = _features(*batch.encode(), np.float32)
+    trajs = [Trajectory(features[g], actions[g], log_probs[g], values[g], rewards[g], dones[g],
+                        np.asarray(forward(policies[g], feat[rows_g])[1], dtype=np.float64))
              for g, rows_g in enumerate(groups)]
     final = [batch.state(e) for e in rows]
     if not grouped:
@@ -611,12 +599,13 @@ def adam_step(params: ActorCriticParams, grad: np.ndarray, lr: float, eps: float
 
 def _ppo_workspace(cfg: NetConfig, feat, acts) -> dict:
     """The arrays every epoch of one PPO update reuses: the inputs that do not
-    change between epochs (the ``mlp`` features and the action one-hot), and
+    change between epochs (the torso's input and the action one-hot), and
     one array per (B, hidden) or (B, n_actions) temporary, written in place.
-    Each is stored feature-major, (features, B), and handed out as its
-    (B, features) view ``.T``. ``feat`` is the batch's (B, F) observation
-    features; a rollout trajectory's block already has that layout, so the
-    ``mlp`` torso reads it in place, and copies only other layouts or dtypes."""
+    Each (B, ·) array is stored feature-major, (·, B), and handed out as its
+    view ``.T``. ``feat`` is the batch's (B, F) observation features; a
+    rollout trajectory's block already has that layout, so the ``mlp`` torso
+    reads it in place, and copies only other layouts or dtypes. The ``conv``
+    torso gets one contiguous copy of the images for every epoch's im2col."""
     b, dt = len(acts), cfg.np_dtype
     work = {k: np.empty((cfg.hidden, b), dt).T for k in ("h1", "h2", "dh2")}
     for k in ("logits", "logp", "pi", "tmp_a", "dlogits"):
@@ -625,20 +614,21 @@ def _ppo_workspace(cfg: NetConfig, feat, acts) -> dict:
     work["one_hot"][np.arange(b), acts] = 1.0
     if cfg.torso == "mlp":
         work["feat"] = np.asfortranarray(feat, dtype=dt)
+    else:
+        work["images"] = np.ascontiguousarray(feat[:, :math.prod(cfg.image_shape)], dtype=dt)
     return work
 
 
 def _ppo_loss_grads(params, batch, config: PpoConfig, work=None):
     """One full-batch loss evaluation: stats plus parameter gradients.
     ``work`` is the :func:`_ppo_workspace` of this batch (a new one if None)."""
-    images, extras, acts, old_logp, old_values, adv, targets = batch
+    feat, acts, old_logp, old_values, adv, targets = batch
     dt = params.config.np_dtype
-    b = images.shape[0]
+    b = len(feat)
     eps = config.clip
-    w = work if work is not None else _ppo_workspace(
-        params.config, _features(images, extras, dt), acts)
+    w = work if work is not None else _ppo_workspace(params.config, feat, acts)
 
-    logits, vals, cache = _forward_cached(params, images, extras, w)
+    logits, vals, cache = _forward_cached(params, feat, w)
     logp_all = log_softmax(logits, out=w["logp"], scratch=w["pi"])
     pi = np.exp(logp_all, out=w["pi"])
     logp_a = logp_all[np.arange(b), acts]
@@ -713,17 +703,14 @@ def ppo_update(
         lr = config.lr
     cfg, dt = params.config, params.config.np_dtype
     b = traj.n_steps * traj.n_envs
-    img = traj.images.reshape((b,) + tuple(cfg.image_shape))
-    if cfg.torso == "conv":  # one contiguous copy for every epoch's im2col
-        img = np.ascontiguousarray(img, dtype=dt)
-    ext = traj.extras.reshape(b, -1)
+    feat = traj.features.reshape(-1, b).T
     acts = traj.actions.reshape(b)
     old_logp = traj.log_probs.reshape(b).astype(dt)
     old_values = traj.values.reshape(b).astype(dt)
     adv = normalize_advantages(np.asarray(advantages, dtype=np.float64)).reshape(b).astype(dt)
     targets = np.asarray(targets, dtype=np.float64).reshape(b).astype(dt)
-    batch = (img, ext, acts, old_logp, old_values, adv, targets)
-    work = _ppo_workspace(cfg, traj.features.reshape(-1, b).T, acts)
+    batch = (feat, acts, old_logp, old_values, adv, targets)
+    work = _ppo_workspace(cfg, feat, acts)
 
     stats = {}
     for _ in range(config.epochs):

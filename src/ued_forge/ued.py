@@ -884,6 +884,9 @@ def load_run_state(path) -> dict:
                 out["last_replayed"] = tuple(parse_level(t) for t in payload["last_replayed"])
         except (AttributeError, TypeError, BufferError, LevelError) as exc:
             raise UedError(f"bad buffer or last_replayed levels: {exc}") from exc
+        if out["buffer"].capacity != config.buffer_capacity:
+            raise UedError(f"buffer capacity {out['buffer'].capacity} does not match "
+                           f"config buffer_capacity {config.buffer_capacity}")
         _check_level_sizes(out["buffer"].levels, config, "buffer")
         _check_level_sizes(out.get("last_replayed") or (), config, "last_replayed")
     if config.algorithm == "dr":

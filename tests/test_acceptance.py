@@ -41,8 +41,9 @@ from ued_forge.maze import (
 from ued_forge.rl_core import (
     NetConfig,
     PpoConfig,
-    _forward_cached,
     _backward,
+    _features,
+    _forward_cached,
     _ppo_loss_grads,
     adam_step,
     compute_gae,
@@ -145,14 +146,15 @@ def test_criterion_03_gradients_match_finite_differences():
         params = params.with_flat(params.flat() + gen.normal(0, 0.3, params.n_params))
         img = gen.normal(0, 1, (6,) + cfg.image_shape)
         ext = gen.normal(0, 1, (6, cfg.extra_dim))
+        feat = _features(img, ext, np.float64)
         wl = gen.normal(0, 1, (6, cfg.n_actions))
         wv = gen.normal(0, 1, 6)
 
         def layer_loss(vec):
-            logits, values, _ = _forward_cached(params.with_flat(vec), img, ext)
+            logits, values, _ = _forward_cached(params.with_flat(vec), feat)
             return float((wl * logits).sum() + (wv * values).sum())
 
-        _, _, cache = _forward_cached(params, img, ext)
+        _, _, cache = _forward_cached(params, feat)
         grad = _backward(params, cache, wl, wv)
         fd = cfg.views(fd_grad(layer_loss, params.flat()))
         for name, g in cfg.views(grad).items():
@@ -162,8 +164,8 @@ def test_criterion_03_gradients_match_finite_differences():
         # full PPO objective, clip branches included
         b = 24
         batch = (
-            gen.normal(0, 1, (b,) + cfg.image_shape),
-            gen.normal(0, 1, (b, cfg.extra_dim)),
+            _features(gen.normal(0, 1, (b,) + cfg.image_shape),
+                      gen.normal(0, 1, (b, cfg.extra_dim)), np.float64),
             gen.integers(0, cfg.n_actions, b),
             np.log(gen.uniform(0.2, 0.8, b)),
             gen.normal(0, 1, b),

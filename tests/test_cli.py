@@ -6,8 +6,11 @@ import sys
 
 import pytest
 
+from ued_forge import rng as R
 from ued_forge.cli import main
 from ued_forge.maze import load_levels, parse_level, save_levels
+from ued_forge.rl_core import init_params, params_to_bytes
+from ued_forge.ued import adversary_net_config, ued_config_from_dict
 
 TINY = {
     "algorithm": "dr",
@@ -142,11 +145,16 @@ def test_eval_trained_checkpoint(tmp_path, capsys):
 
 
 def test_eval_bad_checkpoint(tmp_path, capsys):
-    bad = tmp_path / "params.bin"
-    bad.write_bytes(b"not a checkpoint")
+    # Garbage bytes, and a well-formed network that is not a maze student:
+    # the PAIRED adversary of the TINY run.
+    adversary = init_params(R.generator(0), adversary_net_config(ued_config_from_dict(TINY)))
     path, _ = write_level_file(tmp_path)
-    assert main(["eval", "--ckpt", str(bad), "--levels", path]) == 1
-    assert "cannot load checkpoint" in capsys.readouterr().err
+    for data, message in ((b"not a checkpoint", "cannot load checkpoint"),
+                          (params_to_bytes(adversary), "not a maze student network")):
+        bad = tmp_path / "params.bin"
+        bad.write_bytes(data)
+        assert main(["eval", "--ckpt", str(bad), "--levels", path]) == 1
+        assert message in capsys.readouterr().err
 
 
 def test_eval_missing_levels(tmp_path, capsys):

@@ -14,7 +14,7 @@ from ued_forge.evaluation import (
     run_episode,
 )
 from ued_forge.maze import MazeEnv, parse_level, shortest_path_distances
-from ued_forge.rl_core import NetConfig, forward, init_params, log_softmax
+from ued_forge.rl_core import NetConfig, _features, forward, init_params, log_softmax
 
 
 def student_params(seed=0, view=5):
@@ -105,7 +105,7 @@ def test_sampled_policy_matches_numpy_inverse_cdf():
         pol = network_policy(params, env, sample=True)
         state, obs = env.reset_to_level(STRAIGHT, R.generator(1))
         image, extra = env.encode_observation(obs)
-        logits, _ = forward(params, image[None], extra[None])
+        logits, _ = forward(params, _features(image[None], extra[None], np.float32))
         cdf = np.cumsum(np.exp(log_softmax(logits.astype(np.float64))[0]))
         gen, ref = R.generator(7), R.generator(7)
         for _ in range(200):

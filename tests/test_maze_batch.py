@@ -224,7 +224,7 @@ def test_rollout_through_batch_matches_per_env(seed, wrapper):
     gen = R.generator(R.key_from_seed(seed + 300))
     levels = [mixed_size_level(gen) for _ in range(6)]
     (batched, b_states), (single, s_states) = rollout_both_ways(env, levels, seed)
-    for field in ("images", "extras", "actions", "log_probs", "values", "rewards", "dones",
+    for field in ("features", "actions", "log_probs", "values", "rewards", "dones",
                   "bootstrap_values"):
         assert np.array_equal(getattr(batched, field), getattr(single, field)), field
     assert batched.dones.sum() > len(levels)  # several episode ends per env
@@ -238,7 +238,7 @@ def test_rollout_of_no_envs_is_empty():
     for n_steps in (0, 3):
         for stepped in (env, PerEnv(env)):
             traj, states = rollout(stepped, params, [], [], n_steps, R.key_from_seed(1))
-            assert traj.images.shape == (n_steps, 0, 3, 3, 3)
+            assert traj.features.shape == (3 * 3 * 3 + 4, n_steps, 0)
             assert traj.actions.shape == (n_steps, 0) and traj.bootstrap_values.shape == (0,)
             assert states == []
 

@@ -25,8 +25,9 @@ from ued_forge.rl_core import (
     PpoConfig,
     Trajectory,
     TrainingDivergedError,
-    _forward_cached,
     _backward,
+    _features,
+    _forward_cached,
     _im2col,
     _ppo_loss_grads,
     adam_step,
@@ -47,6 +48,7 @@ from ued_forge.rl_core import (
     rollout,
     save_params,
 )
+from test_maze_batch import PerEnv
 
 MLP64 = NetConfig(image_shape=(3, 3, 2), extra_dim=2, n_actions=3,
                   hidden=6, torso="mlp", dtype="float64")
@@ -136,20 +138,18 @@ def test_net_config_rejects_bad_fields(change):
 
 def test_forward_shapes_and_validation():
     p = make_params(MLP64)
-    img = np.zeros((5, 3, 3, 2))
-    ext = np.zeros((5, 2))
-    logits, values = forward(p, img, ext)
+    n_feat = 3 * 3 * 2 + 2
+    logits, values = forward(p, np.zeros((5, n_feat)))
     assert logits.shape == (5, 3) and values.shape == (5,)
-    with pytest.raises(ValueError):
-        forward(p, np.zeros((5, 3, 2, 2)), ext)
-    with pytest.raises(ValueError):
-        forward(p, img, np.zeros((5, 3)))
+    for width in (n_feat - 1, n_feat + 1):
+        with pytest.raises(ValueError, match=rf"\(B, {n_feat}\)"):
+            forward(p, np.zeros((5, width)))
 
 
 def test_forward_zero_input_uniform_policy():
     # zero biases and zero input: logits all equal, policy uniform
     p = make_params(MLP64)
-    logits, _ = forward(p, np.zeros((2, 3, 3, 2)), np.zeros((2, 2)))
+    logits, _ = forward(p, np.zeros((2, 3 * 3 * 2 + 2)))
     assert np.allclose(logits, logits[:, :1], atol=1e-12)
 
 
@@ -175,20 +175,21 @@ def test_backward_matches_fd_per_layer(cfg):
     p = make_params(cfg, 3)
     img = gen.normal(0, 1, (6,) + cfg.image_shape)
     ext = gen.normal(0, 1, (6, cfg.extra_dim))
+    feat = _features(img, ext, np.float64)
     wl = gen.normal(0, 1, (6, cfg.n_actions))
     wv = gen.normal(0, 1, 6)
 
     def loss_of(vec):
-        logits, values, _ = _forward_cached(p.with_flat(vec), img, ext)
+        logits, values, _ = _forward_cached(p.with_flat(vec), feat)
         return float((wl * logits).sum() + (wv * values).sum())
 
-    _, _, cache = _forward_cached(p, img, ext)
+    _, _, cache = _forward_cached(p, feat)
     grad = _backward(p, cache, wl, wv)
     fd = cfg.views(fd_grad(loss_of, p.flat()))
     for name, g in cfg.views(grad).items():
         err = rel_err(g, fd[name])
         assert err < 1e-6, f"layer {name}: rel err {err:.2e}"
-    logits, values = forward(p, img[:0], ext[:0])
+    logits, values = forward(p, feat[:0])
     assert logits.shape == (0, cfg.n_actions) and values.shape == (0,)
 
 
@@ -200,7 +201,7 @@ def random_batch(cfg, gen, b=24):
     old_values = gen.normal(0, 1, b)
     adv = gen.normal(0, 1, b)
     targets = gen.normal(0, 1, b)
-    return img, ext, acts, old_logp, old_values, adv, targets
+    return _features(img, ext, np.float64), acts, old_logp, old_values, adv, targets
 
 
 @pytest.mark.parametrize("cfg", [MLP64, CONV64], ids=["mlp", "conv"])
@@ -223,11 +224,11 @@ def test_ppo_loss_grads_match_fd(cfg):
 def test_ppo_loss_value_clip_branch_matches_fd():
     gen = R.generator(R.key_from_seed(6))
     p = make_params(MLP64, 2)
-    img, ext, acts, old_logp, _, adv, targets = random_batch(MLP64, gen)
-    _, values = forward(p, img, ext)
+    feat, acts, old_logp, _, adv, targets = random_batch(MLP64, gen)
+    _, values = forward(p, feat)
     # old values far below current: clipped branch active for half the batch
     old_values = values - np.where(np.arange(len(values)) % 2 == 0, 1.0, 0.0)
-    batch = (img, ext, acts, old_logp, old_values, adv, targets)
+    batch = (feat, acts, old_logp, old_values, adv, targets)
     ppo = PpoConfig(ent_coeff=0.0)
 
     def loss_of(vec):
@@ -266,7 +267,7 @@ def traj_of(images, extras, **rest):
     ``images`` and ``extras``; ``rest`` are its other fields."""
     t, n, *shape = images.shape
     flat = np.concatenate([images.reshape(t, n, math.prod(shape)), extras], axis=2)
-    return Trajectory(np.ascontiguousarray(np.moveaxis(flat, 2, 0)), tuple(shape), **rest)
+    return Trajectory(np.ascontiguousarray(np.moveaxis(flat, 2, 0)), **rest)
 
 
 def traj_from_arrays(rewards, values, dones, bootstrap):
@@ -412,7 +413,7 @@ def test_rollout_deterministic_and_thread_invariant():
         env, params, states, obs = fresh_roll_setup()
         traj, _ = rollout(env, params, states, obs, 20, key)
         outs.append(traj)
-    for field in ("images", "extras", "actions", "log_probs", "values",
+    for field in ("features", "actions", "log_probs", "values",
                   "rewards", "dones", "bootstrap_values"):
         a = getattr(outs[0], field)
         assert np.array_equal(a, getattr(outs[1], field))
@@ -428,14 +429,18 @@ def test_rollout_key_changes_actions():
 
 
 def test_rollout_records_match_recompute():
-    env, params, states, obs = fresh_roll_setup()
-    traj, _ = rollout(env, params, states, obs, 15, R.key_from_seed(6))
-    for t in range(15):
-        logits, values = forward(params, traj.images[t], traj.extras[t])
-        assert np.allclose(traj.values[t], values, atol=1e-12)
-        lp = log_softmax(logits.astype(np.float64))
-        idx = np.arange(traj.n_envs)
-        assert np.allclose(traj.log_probs[t], lp[idx, traj.actions[t]], atol=1e-12)
+    # A rollout's forward pass reads each step's strided (F, N) slice of the
+    # block; a contiguous copy of that slice must give the same bits.
+    for per_env in (False, True):
+        env, params, states, obs = fresh_roll_setup()
+        stepped = PerEnv(env) if per_env else env
+        traj, _ = rollout(stepped, params, states, obs, 15, R.key_from_seed(6))
+        for t in range(15):
+            logits, values = forward(params, np.ascontiguousarray(traj.features[:, t].T))
+            assert np.array_equal(traj.values[t], values)
+            lp = log_softmax(logits.astype(np.float64))
+            idx = np.arange(traj.n_envs)
+            assert np.array_equal(traj.log_probs[t], lp[idx, traj.actions[t]])
 
 
 def test_rollout_episodes_reset_on_done():
@@ -548,13 +553,12 @@ def test_ppo_update_improves_surrogate_reward():
     ppo = PpoConfig(epochs=5, lr=5e-3, ent_coeff=0.0)
     new_params, _ = ppo_update(params, traj, adv, targets, ppo)
     b = traj.n_steps * traj.n_envs
-    img = traj.images.reshape((b,) + tuple(params.config.image_shape))
-    ext = traj.extras.reshape(b, -1)
+    feat = traj.features.reshape(-1, b).T
     acts = traj.actions.reshape(b)
     znorm = normalize_advantages(adv.astype(np.float64)).reshape(b)
 
     def mean_weighted_logp(p):
-        logits, _ = forward(p, img, ext)
+        logits, _ = forward(p, feat)
         lp = log_softmax(logits.astype(np.float64))
         return float((znorm * lp[np.arange(b), acts]).mean())
 
@@ -576,20 +580,18 @@ def test_ppo_update_diverged_raises():
 # batch sums round differently; it must match this reference to within a few
 # units in the last place of its dtype.
 
-def _ref_forward(params, images, extras):
+def _ref_forward(params, feat):
     cfg, p, dt = params.config, params.layers, params.config.np_dtype
-    b = images.shape[0]
-    images = np.ascontiguousarray(images, dtype=dt)
-    extras = np.ascontiguousarray(extras, dtype=dt)
+    b = feat.shape[0]
+    feat = np.ascontiguousarray(feat, dtype=dt)
     cache = {}
     if cfg.torso == "conv":
-        cols = _im2col(images)
+        n_img = math.prod(cfg.image_shape)
+        cols = _im2col(feat[:, :n_img].reshape((b,) + cfg.image_shape))
         cols = cols.reshape(b, math.prod(cols.shape[1:3]), cols.shape[-1])
         a0 = np.tanh(cols @ p["ck"].reshape(-1, cfg.conv_filters) + p["cb"])
         cache.update(cols=cols, a0=a0)
-        feat = np.concatenate([a0.reshape(b, -1), extras], axis=1)
-    else:
-        feat = np.concatenate([images.reshape(b, -1), extras], axis=1)
+        feat = np.concatenate([a0.reshape(b, -1), feat[:, n_img:]], axis=1)
     h1 = np.tanh(feat @ p["w1"] + p["b1"])
     h2 = np.tanh(h1 @ p["w2"] + p["b2"])
     cache.update(feat=feat, h1=h1, h2=h2)
@@ -618,11 +620,11 @@ def _ref_backward(params, cache, dlogits, dvalues):
 
 
 def _ref_loss_grads(params, batch, config):
-    images, extras, acts, old_logp, old_values, adv, targets = batch
+    feat, acts, old_logp, old_values, adv, targets = batch
     dt = params.config.np_dtype
-    b = images.shape[0]
+    b = feat.shape[0]
     eps = config.clip
-    logits, vals, cache = _ref_forward(params, images, extras)
+    logits, vals, cache = _ref_forward(params, feat)
     z = logits - logits.max(axis=1, keepdims=True)
     logp_all = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     pi = np.exp(logp_all)
@@ -666,8 +668,7 @@ def _ref_ppo_update(params, traj, advantages, targets, config, lr):
     dt = params.config.np_dtype
     b = traj.n_steps * traj.n_envs
     adv = normalize_advantages(np.asarray(advantages, dtype=np.float64))
-    batch = (traj.images.reshape((b,) + tuple(params.config.image_shape)),
-             traj.extras.reshape(b, -1), traj.actions.reshape(b),
+    batch = (traj.features.reshape(-1, b).T, traj.actions.reshape(b),
              traj.log_probs.reshape(b).astype(dt), traj.values.reshape(b).astype(dt),
              adv.reshape(b).astype(dt), np.asarray(targets, dtype=np.float64).reshape(b).astype(dt))
     stats = {}
@@ -685,8 +686,8 @@ def synthetic_traj(params, seed, t_len=32, n=8):
     gen = R.generator(R.key_from_seed(seed))
     img = gen.normal(0, 1, (t_len, n) + cfg.image_shape).astype(np.float32)
     ext = gen.normal(0, 1, (t_len, n, cfg.extra_dim)).astype(np.float32)
-    logits, values = forward(params, img.reshape((-1,) + cfg.image_shape),
-                             ext.reshape(-1, cfg.extra_dim))
+    logits, values = forward(params, _features(img.reshape((-1,) + cfg.image_shape),
+                                               ext.reshape(-1, cfg.extra_dim), np.float32))
     acts = gen.integers(0, cfg.n_actions, t_len * n)
     logp = log_softmax(logits.astype(np.float64))[np.arange(t_len * n), acts]
     return traj_of(
@@ -731,8 +732,6 @@ def test_ppo_update_reads_the_rollout_block_in_place(monkeypatch, dtype):
     traj, _ = rollout(env, params, states, obs, 16, R.key_from_seed(0))
     b = traj.n_steps * traj.n_envs
     assert traj.features.shape == (3 * 3 * 3 + 4, 16, 4)
-    assert np.shares_memory(traj.images, traj.features)
-    assert np.shares_memory(traj.extras, traj.features)
     made, original = [], rl_core._ppo_workspace
 
     def spy(*args):
@@ -758,9 +757,7 @@ def test_ppo_update_on_rollout_block_matches_rebuilt_copies(torso, dtype):
     traj, _ = rollout(env, params, states, obs, 16, R.key_from_seed(1))
     adv, targets = compute_gae(traj, 0.99, 0.95)
     ppo = PpoConfig(epochs=3, lr=1e-2)
-    rest = {k: getattr(traj, k) for k in ("actions", "log_probs", "values", "rewards",
-                                          "dones", "bootstrap_values")}
-    copied = traj_of(traj.images.copy(), traj.extras.copy(), **rest)
+    copied = replace(traj, features=traj.features.copy())
     got, got_stats = ppo_update(params, traj, adv, targets, ppo)
     want, want_stats = ppo_update(params, copied, adv, targets, ppo)
     assert got_stats == want_stats
@@ -779,10 +776,11 @@ def test_forward_layout_guard(cfg, dtype):
     for b in (1, 2, 33):
         img = gen.normal(0, 1, (b,) + cfg.image_shape).astype(np.float32)
         ext = gen.normal(0, 1, (b, cfg.extra_dim)).astype(np.float32)
-        logits, values = forward(params, img, ext)
+        feat = _features(img, ext, np.float32)
+        logits, values = forward(params, feat)
         assert logits.flags.c_contiguous and logits.dtype == values.dtype == np.dtype(dtype)
         if b == 1:
-            ref_logits, ref_values, _ = _ref_forward(params, img, ext)
+            ref_logits, ref_values, _ = _ref_forward(params, feat)
             assert logits.tobytes() == ref_logits.tobytes()
             assert values.tobytes() == ref_values.tobytes()
 

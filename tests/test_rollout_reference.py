@@ -23,6 +23,7 @@ from ued_forge.maze import (
 )
 from ued_forge.rl_core import (
     NetConfig,
+    _features,
     forward,
     init_params,
     log_softmax,
@@ -31,7 +32,7 @@ from ued_forge.rl_core import (
 from test_maze_batch import PerEnv, mixed_size_level
 from test_rl_core import traj_of
 
-FIELDS = ("images", "extras", "actions", "log_probs", "values", "rewards", "dones",
+FIELDS = ("features", "actions", "log_probs", "values", "rewards", "dones",
           "bootstrap_values")
 
 
@@ -62,7 +63,7 @@ def reference_rollout(env, params, states, observations, n_steps, key):
         img, ext = encode()
         images[t] = img
         extras[t] = ext
-        logits, vals = forward(params, img, ext)
+        logits, vals = forward(params, _features(img, ext, np.float32))
         values[t] = vals
         logp = log_softmax(logits.astype(np.float64))
         u = uniforms[:, t]
@@ -76,7 +77,7 @@ def reference_rollout(env, params, states, observations, n_steps, key):
             rewards[t, e] = res.reward
             dones[t, e] = res.done
 
-    _, bootstrap = forward(params, *encode())
+    _, bootstrap = forward(params, _features(*encode(), np.float32))
     traj = traj_of(
         images, extras, actions=actions, log_probs=log_probs, values=values, rewards=rewards,
         dones=dones, bootstrap_values=np.asarray(bootstrap, dtype=np.float64))

@@ -602,6 +602,8 @@ def _other_net(payload):
         ("paired", {"adversary": ["x"]}),
         ("paired", lambda payload: {"adversary": payload["params"]}),
         ("accel", {"buffer": 5}),
+        ("accel", lambda payload: {"buffer": buffer_to_text(
+            replace(buffer_from_text(payload["buffer"]), capacity=16))}),
         ("accel", {"last_replayed": 5}),
         ("accel", {"last_replayed": [5]}),
         ("accel", {"node": "c"}),
@@ -615,8 +617,8 @@ def _other_net(payload):
     ],
     ids=["params_int", "params_non_ascii", "params_bad_base64", "params_other_config",
          "antagonist_int", "adversary_list", "adversary_student_net", "buffer_int",
-         "last_replayed_int", "last_replayed_int_list", "node", "cycle_negative", "cycle_str",
-         "env_steps_float", "updates_bool", "master_key_str", "master_key_negative",
+         "buffer_capacity", "last_replayed_int", "last_replayed_int_list", "node",
+         "cycle_negative", "cycle_str", "env_steps_float", "updates_bool", "master_key_str", "master_key_negative",
          "master_key_too_wide"],
 )
 def test_load_run_state_rejects_bad_fields(tmp_path, algorithm, change):
