@@ -33,6 +33,8 @@ cmd = [sys.executable, "-m", "ued_forge.cli", "eval",
        "--episodes", "2"]
 print("\n$", " ".join(cmd[1:]))
 out = subprocess.run(cmd, capture_output=True, text=True)
+if out.returncode != 0:
+    sys.exit(f"ued-forge eval exited with {out.returncode}:\n{out.stderr}")
 print(out.stdout.strip())
 
 # training and rendering follow the same shape:

@@ -269,6 +269,10 @@ def _parse_buffer(text: str) -> LevelBuffer:
     capacity = int(expect(1, "capacity "))
     size = int(expect(2, "size "))
     episode_counter = int(expect(3, "episode_counter "))
+    if capacity < 1:
+        raise BufferError(f"checkpoint capacity {capacity} is below 1")
+    if episode_counter < 0:
+        raise BufferError(f"checkpoint episode_counter {episode_counter} is negative")
 
     levels, scores, touched, extras = [], [], [], []
     i = 4
@@ -311,6 +315,10 @@ def _parse_buffer(text: str) -> LevelBuffer:
     )
     if buf.size > capacity:
         raise BufferError("checkpoint size exceeds capacity")
+    if not np.all(np.isfinite(buf.scores)):
+        raise BufferError("checkpoint has a non-finite score")
+    if buf.size and not 0 <= buf.last_touched.min() <= buf.last_touched.max() <= episode_counter:
+        raise BufferError(f"checkpoint has last_touched outside [0, {episode_counter}]")
     return buf
 
 

@@ -701,20 +701,11 @@ def write_ppm(pixels: np.ndarray, path) -> None:
 
 def format_level(level: MazeLevel) -> str:
     """Grid text for one level; one row per line, LF endings."""
-    rows = []
-    for r in range(level.height):
-        chars = []
-        for c in range(level.width):
-            if (r, c) == level.agent_pos:
-                chars.append(AGENT_CHARS[level.agent_dir])
-            elif (r, c) == level.goal_pos:
-                chars.append("G")
-            elif level.walls[r, c]:
-                chars.append("#")
-            else:
-                chars.append(".")
-        rows.append("".join(chars))
-    return "\n".join(rows) + "\n"
+    grid = np.full((level.height, level.width + 1), ord("\n"), dtype=np.uint8)
+    grid[:, :-1] = np.where(level.walls, ord("#"), ord("."))
+    grid[level.goal_pos] = ord("G")
+    grid[level.agent_pos] = ord(AGENT_CHARS[level.agent_dir])
+    return grid.tobytes().decode("ascii")
 
 
 def parse_level(text: str) -> MazeLevel:

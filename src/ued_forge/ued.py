@@ -59,7 +59,6 @@ from .level_sampler import (
     insert_batch,
     new_buffer,
     sample_levels,
-    save_buffer,
     update_batch,
 )
 from .maze import (
@@ -90,7 +89,6 @@ from .rl_core import (
     params_to_bytes,
     ppo_update,
     rollout,
-    save_params,
 )
 
 ALGORITHMS = ("dr", "plr", "plr_robust", "accel", "paired")
@@ -644,31 +642,37 @@ class TrainResult:
     adversary: ActorCriticParams | None = None
 
 
+def _run_networks(config: UedConfig) -> dict:
+    """The networks a run holds: ``RunState`` field name to net config, in
+    master-key order. Each is saved as ``<name>.bin``."""
+    nets = {"params": student_net_config(config)}
+    if config.algorithm == "paired":
+        nets.update(antagonist=nets["params"], adversary=adversary_net_config(config))
+    return nets
+
+
 def _master_keys(config: UedConfig, master: rng_mod.Key) -> list:
-    """The run's top-level keys: init keys first, the cycle key ``k_run`` last."""
-    return rng_mod.split(master, {"dr": 3, "paired": 4}.get(config.algorithm, 2))
+    """The run's top-level keys: one per network, the ``dr`` env key, ``k_run``."""
+    return rng_mod.split(master, len(_run_networks(config)) + (config.algorithm == "dr") + 1)
 
 
 def init_run_state(config: UedConfig, master: rng_mod.Key) -> RunState:
     """The state before cycle 0: fresh networks, plus the ``dr`` env batch
     or an empty replay buffer."""
+    nets = _run_networks(config)
     keys = _master_keys(config, master)
-    net_cfg = student_net_config(config)
-    params = init_params(rng_mod.generator(keys[0]), net_cfg)
+    state = RunState(**{name: init_params(rng_mod.generator(k), net_config)
+                        for (name, net_config), k in zip(nets.items(), keys)})
     if config.algorithm == "dr":
         env = _dr_env(config)
         env_states = []
-        for k in rng_mod.split(keys[1], config.ppo.n_envs):
+        for k in rng_mod.split(keys[len(nets)], config.ppo.n_envs):
             gen = rng_mod.generator(k)
             env_states.append(env.reset_to_level(env.level_source(gen), gen)[0])
-        return RunState(params=params, env_states=env_states)
+        return replace(state, env_states=env_states)
     if config.algorithm == "paired":
-        return RunState(
-            params=params,
-            antagonist=init_params(rng_mod.generator(keys[1]), net_cfg),
-            adversary=init_params(rng_mod.generator(keys[2]), adversary_net_config(config)),
-        )
-    return RunState(params=params, buffer=new_buffer(config.buffer_capacity), node=NODE_A)
+        return state
+    return replace(state, buffer=new_buffer(config.buffer_capacity), node=NODE_A)
 
 
 def _open_metrics(out_dir: str | None, cycle: int):
@@ -693,7 +697,8 @@ def _open_metrics(out_dir: str | None, cycle: int):
 def _drive(config: UedConfig, master: rng_mod.Key, state: RunState, out_dir,
            cycle_callback, max_cycles) -> TrainResult:
     """Run cycles until the step budget is reached, or until ``max_cycles``
-    cycles of this call if that comes first; then write the checkpoint."""
+    cycles of this call if that comes first. With ``out_dir``, checkpoint
+    the last completed cycle, also when a cycle or ``cycle_callback`` raises."""
     k_run = _master_keys(config, master)[-1]
     cycle = {"dr": _dr_cycle, "paired": _paired_cycle}.get(config.algorithm, _replay_cycle)(config)
     log = _open_metrics(out_dir, state.cycle)
@@ -702,27 +707,28 @@ def _drive(config: UedConfig, master: rng_mod.Key, state: RunState, out_dir,
         while state.env_steps < config.total_env_steps and (
             max_cycles is None or len(metrics_log) < max_cycles
         ):
-            state, entry = cycle(state, rng_mod.fold_in(k_run, state.cycle))
-            state = replace(state, cycle=state.cycle + 1)
+            done, entry = cycle(state, rng_mod.fold_in(k_run, state.cycle))
+            done = replace(done, cycle=state.cycle + 1)
             entry = {
                 "algorithm": config.algorithm,
-                "cycle": state.cycle,
-                "env_steps": state.env_steps,
-                "updates": state.updates,
+                "cycle": done.cycle,
+                "env_steps": done.env_steps,
+                "updates": done.updates,
                 **entry,
             }
             metrics_log.append(entry)
             if log is not None:
                 log.write(metrics_line(entry) + "\n")
                 log.flush()
+            # Advance after the line is written: a resume drops lines past its cycle.
+            state = done
             if cycle_callback is not None:
                 cycle_callback(entry, state.params)
     finally:
         if log is not None:
             log.close()
-
-    if out_dir is not None:
-        _save_run(out_dir, config, master, state)
+        if out_dir is not None:
+            _save_run(out_dir, config, master, state)
     return TrainResult(
         params=state.params, metrics=metrics_log, env_steps=state.env_steps,
         updates=state.updates, buffer=state.buffer, antagonist=state.antagonist,
@@ -753,10 +759,6 @@ def train(
 # ---------------------------------------------------------------------------
 
 _STATE_VERSION = 1
-
-
-def _b64(params: ActorCriticParams) -> str:
-    return base64.b64encode(params_to_bytes(params)).decode("ascii")
 
 
 def _unb64(text: str, net_config: NetConfig, name: str) -> ActorCriticParams:
@@ -808,8 +810,8 @@ def _maze_state_from_dict(d: dict, config: UedConfig) -> WrappedState:
 
 def _save_run(out_dir: str, config: UedConfig, master: rng_mod.Key, state: RunState):
     """Write ``state.json``, which alone resumes the run, and each network
-    (``params.bin``, ``antagonist.bin``, ``adversary.bin``) and the buffer
-    (``buffer.txt``) that the state holds as a file of its own."""
+    (``<name>.bin``) and the buffer (``buffer.txt``) that the state holds as
+    a file of its own. Each is serialized once, for both places."""
     payload = {
         "version": _STATE_VERSION,
         "config": ued_config_to_dict(config),
@@ -817,30 +819,29 @@ def _save_run(out_dir: str, config: UedConfig, master: rng_mod.Key, state: RunSt
         "cycle": state.cycle,
         "env_steps": state.env_steps,
         "updates": state.updates,
-        "params": _b64(state.params),
     }
-    save_params(state.params, os.path.join(out_dir, "params.bin"))
+    files = {}
+    for name in _run_networks(config):
+        files[f"{name}.bin"] = params_to_bytes(getattr(state, name))
+        payload[name] = base64.b64encode(files[f"{name}.bin"]).decode("ascii")
     if state.env_states is not None:
         payload["env_states"] = [_maze_state_to_dict(s) for s in state.env_states]
     if state.buffer is not None:
-        save_buffer(state.buffer, os.path.join(out_dir, "buffer.txt"))
-        payload["node"] = state.node
         payload["buffer"] = buffer_to_text(state.buffer)
+        files["buffer.txt"] = payload["buffer"].encode("utf-8")
+        payload["node"] = state.node
         payload["last_replayed"] = (
             None if state.last_replayed is None
             else [format_level(lv) for lv in state.last_replayed]
         )
-    for name in ("antagonist", "adversary"):
-        net = getattr(state, name)
-        if net is not None:
-            save_params(net, os.path.join(out_dir, f"{name}.bin"))
-            payload[name] = _b64(net)
-    # Replace state.json whole, so that a save that fails leaves the last one.
-    path = os.path.join(out_dir, "state.json")
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    with open(path + ".tmp", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(path + ".tmp", path)
+    files["state.json"] = (json.dumps(payload, sort_keys=True, separators=(",", ":"))
+                           + "\n").encode("ascii")
+    # Each file is replaced whole, state.json last: a failed save leaves the last state.
+    for file_name, data in files.items():
+        path = os.path.join(out_dir, file_name)
+        with open(path + ".tmp", "wb") as fh:
+            fh.write(data)
+        os.replace(path + ".tmp", path)
 
 
 def load_run_state(path) -> dict:
@@ -858,9 +859,7 @@ def load_run_state(path) -> dict:
         if required not in payload:
             raise UedError(f"run state missing field {required!r}")
     config = ued_config_from_dict(payload["config"])
-    nets = {"params": student_net_config(config)}
-    if config.algorithm == "paired":
-        nets.update(antagonist=nets["params"], adversary=adversary_net_config(config))
+    nets = _run_networks(config)
     replay = config.algorithm not in ("dr", "paired")
     for required in (*nets, *(("buffer", "node") if replay else ())):
         if required not in payload:
@@ -888,7 +887,11 @@ def load_run_state(path) -> dict:
             raise UedError(f"buffer capacity {out['buffer'].capacity} does not match "
                            f"config buffer_capacity {config.buffer_capacity}")
         _check_level_sizes(out["buffer"].levels, config, "buffer")
-        _check_level_sizes(out.get("last_replayed") or (), config, "last_replayed")
+        last = out.get("last_replayed")
+        if last is not None and len(last) != config.ppo.n_envs:
+            raise UedError(f"run state has {len(last)} last_replayed levels, "
+                           f"config has n_envs {config.ppo.n_envs}")
+        _check_level_sizes(last or (), config, "last_replayed")
     if config.algorithm == "dr":
         try:
             out["env_states"] = [_maze_state_from_dict(d, config) for d in payload["env_states"]]

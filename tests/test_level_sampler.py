@@ -278,12 +278,28 @@ def test_buffer_file_round_trip(tmp_path):
         lambda t: t.replace("capacity", "capazity", 1),
         lambda t: t + "entry trailing garbage\n",
         lambda t: t.replace("score", "scrOe", 1),
+        # Fields the writer never writes, which once loaded and then failed
+        # in insert_batch, in sample_levels, or wrote NaN into metrics.
+        lambda t: "ued-forge-buffer v1\ncapacity 0\nsize 0\nepisode_counter 0\n",
+        lambda t: "ued-forge-buffer v1\ncapacity 4\nsize 0\nepisode_counter -1\n",
+        lambda t: re.sub(r"last_touched \d+", "last_touched 99", t, count=1),
+        lambda t: re.sub(r"last_touched \d+", "last_touched -1", t, count=1),
+        lambda t: re.sub(r"score \S+", "score nan", t, count=1),
+        lambda t: re.sub(r"score \S+", "score -inf", t, count=1),
     ],
 )
 def test_buffer_from_text_rejects_malformed(mangle):
     buf = random_buffer(R.key_from_seed(25), 4, 3)
     with pytest.raises(BufferError):
         buffer_from_text(mangle(buffer_to_text(buf)))
+
+
+def test_buffer_round_trip_non_finite_extras():
+    # insert_batch accepts any extra value, so the text format must too.
+    lv = levels_n(R.key_from_seed(26), 3)
+    extras = [{"max_return": np.nan}, {"max_return": np.inf}, {"max_return": -np.inf}]
+    text = buffer_to_text(insert_batch(new_buffer(3), lv, [1.0, 2.0, 3.0], extras))
+    assert buffer_to_text(buffer_from_text(text)) == text
 
 
 @pytest.mark.parametrize(

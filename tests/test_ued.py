@@ -2,6 +2,7 @@
 operations, step accounting, run-state checkpoints, and resume."""
 
 import base64
+import collections
 import json
 import os
 from dataclasses import replace
@@ -9,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ued_forge import level_sampler, rl_core, ued
 from ued_forge import rng as R
 from ued_forge.env_core import AutoReplayWrapper
 from ued_forge.level_sampler import buffer_from_text, buffer_to_text, new_buffer
@@ -441,6 +443,56 @@ def test_resume_into_same_dir_continues_metrics(tmp_path):
         assert (run / name).read_bytes() == (full / name).read_bytes()
 
 
+class Interrupt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("algorithm", ["dr", "accel", "paired"])
+def test_interrupted_run_resumes_exactly(tmp_path, algorithm):
+    cfg = tiny_config(algorithm=algorithm,
+                      total_env_steps=6 * steps_per_cycle(tiny_config(algorithm=algorithm)))
+    full, run = tmp_path / "full", tmp_path / "run"
+    train(cfg, seed=5, out_dir=str(full))
+
+    def interrupt(entry, params):
+        if entry["cycle"] == 3:
+            raise Interrupt
+
+    with pytest.raises(Interrupt):
+        train(cfg, seed=5, out_dir=str(run), cycle_callback=interrupt)
+    assert load_run_state(run / "state.json")["cycle"] == 3
+    resume_run(run / "state.json", out_dir=str(run))
+    assert sorted(os.listdir(run)) == sorted(os.listdir(full))
+    for name in os.listdir(full):
+        assert (run / name).read_bytes() == (full / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("algorithm, n_nets, n_buffers",
+                         [("dr", 1, 0), ("accel", 1, 1), ("paired", 3, 0)])
+def test_save_serializes_each_network_and_the_buffer_once(tmp_path, monkeypatch, algorithm,
+                                                          n_nets, n_buffers):
+    run, again = tmp_path / "run", tmp_path / "again"
+    train(tiny_config(algorithm=algorithm), seed=2, out_dir=str(run), max_cycles=4)
+    calls = collections.Counter()
+
+    def counted(fn):
+        def wrapped(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    # Patch the serializers where they are defined and where ued imports them.
+    for module, name in ((rl_core, "params_to_bytes"), (ued, "params_to_bytes"),
+                         (level_sampler, "buffer_to_text"), (ued, "buffer_to_text")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    resume_run(run / "state.json", out_dir=str(again), max_cycles=0)
+    monkeypatch.undo()
+    assert calls == collections.Counter(params_to_bytes=n_nets, buffer_to_text=n_buffers)
+    for name in os.listdir(run):
+        if name != "metrics.jsonl":
+            assert (again / name).read_bytes() == (run / name).read_bytes(), name
+
+
 def test_failed_save_keeps_the_previous_state(tmp_path, monkeypatch):
     cfg = tiny_config(total_env_steps=5 * steps_per_cycle(tiny_config()))
     full, run = train(cfg, seed=6), tmp_path / "run"
@@ -606,6 +658,9 @@ def _other_net(payload):
             replace(buffer_from_text(payload["buffer"]), capacity=16))}),
         ("accel", {"last_replayed": 5}),
         ("accel", {"last_replayed": [5]}),
+        # A mutate cycle rolls out one env per level but books n_envs envs.
+        ("accel", lambda payload: {"last_replayed": payload["last_replayed"][:1]}),
+        ("accel", {"last_replayed": []}),
         ("accel", {"node": "c"}),
         ("accel", {"cycle": -4}),
         ("accel", {"cycle": "x"}),
@@ -617,7 +672,8 @@ def _other_net(payload):
     ],
     ids=["params_int", "params_non_ascii", "params_bad_base64", "params_other_config",
          "antagonist_int", "adversary_list", "adversary_student_net", "buffer_int",
-         "buffer_capacity", "last_replayed_int", "last_replayed_int_list", "node",
+         "buffer_capacity", "last_replayed_int", "last_replayed_int_list",
+         "last_replayed_one", "last_replayed_empty", "node",
          "cycle_negative", "cycle_str", "env_steps_float", "updates_bool", "master_key_str", "master_key_negative",
          "master_key_too_wide"],
 )
