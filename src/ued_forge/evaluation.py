@@ -7,12 +7,14 @@ floor(n/4) values dropped from each end).
 
 Policies are callables ``action = policy(state, observation, rng)``. The
 network policy acts greedily by default (argmax logits, lowest index on
-ties) or samples when asked; the oracle policy follows precomputed
-shortest-path distances and is the natural skyline for solvable mazes.
+ties) or samples when asked, from logits computed once per distinct
+observation of the current level (exact: the net is read-only and has no
+memory); the oracle follows shortest-path distances, the natural skyline.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import os
 from dataclasses import dataclass
@@ -59,38 +61,45 @@ def network_policy(params: ActorCriticParams, env, sample: bool = False):
     """Policy closure over a trained network.
 
     Greedy argmax unless ``sample``; sampling consumes one uniform draw per
-    step from the provided generator.
+    step from the provided generator. Each distinct observation's argmax or
+    CDF is memoized by its bytes (exact: ``params`` are read-only and a B = 1
+    forward repeats its bits) until the level object changes: ≤ 4·H·W entries.
     """
+    level, memo = None, {}
 
     def policy(state, obs, rng: np.random.Generator) -> int:
+        nonlocal level, memo
+        if state.level is not level:
+            level, memo = state.level, {}
         image, extra = env.encode_observation(obs)
-        logits, _ = forward(params, _features(image[None], extra[None], np.float32))
+        key = image.tobytes() + extra.tobytes()
+        out = memo.get(key)
+        if out is None:
+            logits, _ = forward(params, _features(image[None], extra[None], np.float32))
+            if not sample:
+                out = memo[key] = int(np.argmax(logits[0]))
+            else:  # a running sum in Python adds in np.cumsum's order
+                probs = np.exp(log_softmax(logits.astype(np.float64))[0]).tolist()
+                out = memo[key] = list(itertools.accumulate(probs))
         if not sample:
-            return int(np.argmax(logits[0]))
-        probs = np.exp(log_softmax(logits.astype(np.float64))[0]).tolist()
-        # Inverse CDF: a running sum in Python adds in np.cumsum's order, and
-        # costs less than numpy calls on a few floats.
-        cdf = list(itertools.accumulate(probs))
-        u = rng.random() * cdf[-1]
-        return min(sum(c <= u for c in cdf), len(cdf) - 1)
+            return out
+        return min(bisect.bisect_right(out, rng.random() * out[-1]), len(out) - 1)
 
     return policy
 
 
 def oracle_policy():
-    """Shortest-path follower; distances are computed once per level.
-
-    On a level whose goal is unreachable it turns in place until timeout.
-    """
-    cache: dict = {}
+    """Shortest-path follower over the distances of the last level seen; on a
+    level whose goal is unreachable it turns in place until timeout."""
+    level = dist = None
 
     def policy(state, obs, rng) -> int:
-        key = state.level.key()
-        if key not in cache:
-            cache[key] = shortest_path_distances(state.level)
-        if cache[key][state.agent_pos] <= 0:
+        nonlocal level, dist
+        if state.level is not level:
+            level, dist = state.level, shortest_path_distances(state.level)
+        if dist[state.agent_pos] <= 0:
             return 1  # turn right; nothing better exists here
-        return greedy_oracle_action(cache[key], state.agent_pos, state.agent_dir)
+        return greedy_oracle_action(dist, state.agent_pos, state.agent_dir)
 
     return policy
 

@@ -253,8 +253,8 @@ class MazeEnv(UnderspecifiedEnv):
         row_len = grid.shape[1]
         r, c = state.agent_pos
         view = _view_offsets(self.view_size, row_len)[state.agent_dir]
-        cls = np.take(grid, (r + b) * row_len + c + b + view)
-        return MazeObservation(view=np.take(_EYE3, cls, axis=0), direction=state.agent_dir)
+        cls = grid.take((r + b) * row_len + c + b + view)
+        return MazeObservation(view=_EYE3.take(cls, axis=0), direction=state.agent_dir)
 
     def encode_observation(self, obs: MazeObservation):
         return obs.view, _EYE4[obs.direction]
@@ -708,40 +708,46 @@ def format_level(level: MazeLevel) -> str:
     return grid.tobytes().decode("ascii")
 
 
+_LEVEL_BYTES = (".#G" + AGENT_CHARS).encode("ascii")
+# Byte table that writes every agent character as "A", so one find locates
+# the agent whichever way it faces.
+_AGENT_AS_A = bytes.maketrans(AGENT_CHARS.encode("ascii"), b"A" * len(AGENT_CHARS))
+
+
 def parse_level(text: str) -> MazeLevel:
     """Inverse of :func:`format_level`; raises :class:`LevelError` on bad
-    characters, ragged rows, or missing/duplicate agent/goal."""
+    characters, ragged rows, or missing/duplicate agent/goal, naming the
+    fault that a row-by-row, cell-by-cell scan meets first."""
     lines = [ln for ln in text.split("\n") if ln != ""]
     if not lines:
         raise LevelError("empty level text")
-    width = len(lines[0])
-    height = len(lines)
-    walls = np.zeros((height, width), dtype=np.bool_)
-    agent_pos = agent_dir = goal_pos = None
-    for r, line in enumerate(lines):
-        if len(line) != width:
-            raise LevelError(f"ragged row {r}: expected width {width}, got {len(line)}")
-        for c, ch in enumerate(line):
-            if ch == "#":
-                walls[r, c] = True
-            elif ch == ".":
-                pass
-            elif ch == "G":
-                if goal_pos is not None:
-                    raise LevelError("duplicate goal")
-                goal_pos = (r, c)
-            elif ch in AGENT_CHARS:
-                if agent_pos is not None:
-                    raise LevelError("duplicate agent")
-                agent_pos = (r, c)
-                agent_dir = AGENT_CHARS.index(ch)
-            else:
-                raise LevelError(f"bad character {ch!r} at row {r}, col {c}")
-    if agent_pos is None:
+    width, height = len(lines[0]), len(lines)
+    even = next((r for r, ln in enumerate(lines) if len(ln) != width), height)
+    # The rows above the first ragged one, one byte per cell: a non-ASCII
+    # character becomes one "?", a bad byte, so byte i is cell divmod(i, width).
+    raw = "".join(lines[:even]).encode("ascii", "replace")
+    agents = raw.translate(_AGENT_AS_A)
+    agent, goal = agents.find(b"A"), raw.find(b"G")
+    # Each fault's first cell, out of range when it has none; a scan meets
+    # the lowest first.
+    faults = {
+        len(raw) - len(raw.lstrip(_LEVEL_BYTES)): None,
+        agents.find(b"A", agent + 1): "duplicate agent",
+        raw.find(b"G", goal + 1): "duplicate goal",
+    }
+    first = min((i for i in faults if 0 <= i < len(raw)), default=None)
+    if first is not None:
+        r, c = divmod(first, width)
+        raise LevelError(faults[first] or f"bad character {lines[r][c]!r} at row {r}, col {c}")
+    if even < height:
+        raise LevelError(f"ragged row {even}: expected width {width}, got {len(lines[even])}")
+    if agent < 0:
         raise LevelError("missing agent")
-    if goal_pos is None:
+    if goal < 0:
         raise LevelError("missing goal")
-    level = MazeLevel(width, height, walls, agent_pos, agent_dir, goal_pos)
+    walls = np.frombuffer(raw, np.uint8).reshape(height, width) == ord("#")
+    level = MazeLevel(width, height, walls, divmod(agent, width),
+                      AGENT_CHARS.index(chr(raw[agent])), divmod(goal, width))
     validate_level(level)
     return level
 

@@ -1,8 +1,13 @@
 """Evaluation sweeps, aggregate statistics, and the two reference policies."""
 
+import bisect
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from ued_forge import evaluation
 from ued_forge import rng as R
 from ued_forge.evaluation import (
     evaluate,
@@ -17,9 +22,17 @@ from ued_forge.maze import MazeEnv, parse_level, shortest_path_distances
 from ued_forge.rl_core import NetConfig, _features, forward, init_params, log_softmax
 
 
-def student_params(seed=0, view=5):
-    cfg = NetConfig(image_shape=(view, view, 3), extra_dim=4, n_actions=3, hidden=8)
+def student_params(seed=0, view=5, dtype="float32"):
+    cfg = NetConfig(image_shape=(view, view, 3), extra_dim=4, n_actions=3, hidden=8, dtype=dtype)
     return init_params(R.generator(R.key_from_seed(seed)), cfg)
+
+
+def scaled(params, scale):
+    """``params`` with the policy head multiplied by ``scale``: uneven
+    probabilities at 300, actions of probability 0 at 1e5."""
+    theta = params.flat().copy()
+    params.config.views(theta)["wp"][...] *= scale
+    return params.with_flat(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +111,7 @@ def test_sampled_policy_matches_numpy_inverse_cdf():
     # its weights up to reach uneven probabilities too.
     env = MazeEnv(max_steps=30, view_size=5)
     for scale in (1.0, 300.0):
-        base = student_params(3)
-        theta = base.flat().copy()
-        base.config.views(theta)["wp"][...] *= np.float32(scale)
-        params = base.with_flat(theta)
+        params = scaled(student_params(3), np.float32(scale))
         pol = network_policy(params, env, sample=True)
         state, obs = env.reset_to_level(STRAIGHT, R.generator(1))
         image, extra = env.encode_observation(obs)
@@ -177,3 +187,105 @@ def test_evaluate_input_validation():
         evaluate(env, oracle_policy(), [], episodes=2)
     with pytest.raises(ValueError):
         evaluate(env, oracle_policy(), [STRAIGHT], episodes=0)
+
+
+# ---------------------------------------------------------------------------
+# The network policy's per-level memo
+# ---------------------------------------------------------------------------
+
+def uncached_network_policy(params, env, sample=False):
+    """``network_policy`` before the memo: one forward and one CDF per call."""
+
+    def policy(state, obs, rng):
+        image, extra = env.encode_observation(obs)
+        logits, _ = forward(params, _features(image[None], extra[None], np.float32))
+        if not sample:
+            return int(np.argmax(logits[0]))
+        probs = np.exp(log_softmax(logits.astype(np.float64))[0]).tolist()
+        cdf = list(itertools.accumulate(probs))
+        u = rng.random() * cdf[-1]
+        return min(sum(c <= u for c in cdf), len(cdf) - 1)
+
+    return policy
+
+
+def traced(policy, trace):
+    def wrapper(state, obs, rng):
+        action = policy(state, obs, rng)
+        trace.append(action)
+        return action
+
+    return wrapper
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("holdout", ["easy_9x9", "eval_13x13"])
+def test_memoized_policy_equals_uncached(holdout, dtype):
+    env = MazeEnv(max_steps=40)
+    levels = holdout_levels(holdout)[:3]
+    for sample in (False, True):
+        for scale in (1, 300):
+            params = scaled(student_params(4, dtype=dtype), scale)
+            runs = []
+            for make in (network_policy, uncached_network_policy):
+                trace = []
+                report = evaluate(env, traced(make(params, env, sample), trace), levels,
+                                  episodes=3, key=R.key_from_seed(9))
+                runs.append((report.solve_rates.tobytes(), report.mean_returns.tobytes(),
+                             report.return_mean, trace))
+            assert runs[0] == runs[1], (holdout, dtype, sample, scale)
+
+
+@pytest.mark.parametrize("sample", [False, True])
+def test_forward_runs_once_per_distinct_observation_of_a_level(monkeypatch, sample):
+    calls = []
+
+    def counted_forward(params, feat):
+        calls.append(feat.shape[0])
+        return forward(params, feat)
+
+    monkeypatch.setattr(evaluation, "forward", counted_forward)
+    env = MazeEnv(max_steps=60)
+    a, b = holdout_levels("easy_9x9")[:2]
+    visits = []  # the distinct observations of each run of calls on one level
+
+    def recording(policy):
+        def wrapper(state, obs, rng):
+            if not visits or visits[-1][0] is not state.level:
+                visits.append((state.level, set()))
+            image, extra = env.encode_observation(obs)
+            visits[-1][1].add(image.tobytes() + extra.tobytes())
+            return policy(state, obs, rng)
+
+        return wrapper
+
+    # A, B, A: the second visit to A computes its observations again.
+    evaluate(env, recording(network_policy(student_params(), env, sample)), [a, b, a],
+             episodes=3, key=R.key_from_seed(2))
+    assert [level for level, _ in visits] == [a, b, a]
+    assert calls == [1] * sum(len(seen) for _, seen in visits)
+    assert len(calls) < 0.5 * 3 * 3 * 60  # far fewer than the steps taken
+
+
+def test_bisect_right_matches_searchsorted_with_zero_probability_actions():
+    # Repeated CDF values: the draw skips actions of probability 0, as
+    # np.searchsorted(side="right") and the running count do.
+    cdf = list(itertools.accumulate([0.0, 0.25, 0.0, 0.0, 0.75, 0.0]))
+    for u in [0.0, 0.1, 0.25, 0.5, 0.99, 1.0, *R.generator(3).random(200).tolist()]:
+        expected = int(np.searchsorted(cdf, u, side="right"))
+        assert bisect.bisect_right(cdf, u) == expected == sum(c <= u for c in cdf)
+    # And through the closure, on a net whose probabilities underflow to 0
+    # (here CDF [0, 1, 1]), with uniforms that include an exact 0.
+    env = MazeEnv(max_steps=30, view_size=5)
+    params = scaled(student_params(0), np.float32(1e5))
+    state, obs = env.reset_to_level(STRAIGHT, R.generator(1))
+    image, extra = env.encode_observation(obs)
+    logits, _ = forward(params, _features(image[None], extra[None], np.float32))
+    cdf = np.cumsum(np.exp(log_softmax(logits.astype(np.float64))[0]))
+    assert cdf[0] == 0 and np.any(np.diff(cdf) == 0)
+    uniforms = [0.0, 0.5, *R.generator(7).random(100).tolist()]
+    gen = SimpleNamespace(random=iter(uniforms).__next__)
+    pol = network_policy(params, env, sample=True)
+    for u in uniforms:
+        a = int(np.searchsorted(cdf, u * cdf[-1], side="right"))
+        assert pol(state, obs, gen) == min(a, cdf.size - 1)

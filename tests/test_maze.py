@@ -5,6 +5,8 @@ import heapq
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ued_forge import rng as R
 from ued_forge.env_core import EnvError
@@ -37,6 +39,7 @@ from ued_forge.maze import (
     render_level,
     save_levels,
     shortest_path_distances,
+    validate_level,
     write_ppm,
 )
 
@@ -386,6 +389,76 @@ def test_text_round_trip_fuzz():
 def test_parse_level_rejects_malformed(bad):
     with pytest.raises(LevelError):
         parse_level(bad)
+
+
+def reference_parse_level(text: str) -> MazeLevel:
+    """The cell-by-cell scan that ``parse_level`` replaced, kept as its reference."""
+    lines = [ln for ln in text.split("\n") if ln != ""]
+    if not lines:
+        raise LevelError("empty level text")
+    width = len(lines[0])
+    height = len(lines)
+    walls = np.zeros((height, width), dtype=np.bool_)
+    agent_pos = agent_dir = goal_pos = None
+    for r, line in enumerate(lines):
+        if len(line) != width:
+            raise LevelError(f"ragged row {r}: expected width {width}, got {len(line)}")
+        for c, ch in enumerate(line):
+            if ch == "#":
+                walls[r, c] = True
+            elif ch == ".":
+                pass
+            elif ch == "G":
+                if goal_pos is not None:
+                    raise LevelError("duplicate goal")
+                goal_pos = (r, c)
+            elif ch in "^>v<":
+                if agent_pos is not None:
+                    raise LevelError("duplicate agent")
+                agent_pos = (r, c)
+                agent_dir = "^>v<".index(ch)
+            else:
+                raise LevelError(f"bad character {ch!r} at row {r}, col {c}")
+    if agent_pos is None:
+        raise LevelError("missing agent")
+    if goal_pos is None:
+        raise LevelError("missing goal")
+    level = MazeLevel(width, height, walls, agent_pos, agent_dir, goal_pos)
+    validate_level(level)
+    return level
+
+
+def _parse_outcome(parse, text):
+    try:
+        level = parse(text)
+    except LevelError as exc:
+        return "LevelError", str(exc)
+    assert all(type(v) is int for v in (*level.agent_pos, level.agent_dir, *level.goal_pos))
+    return "level", level.key()
+
+
+@settings(max_examples=250, deadline=None)
+@given(data=st.data(), width=st.integers(1, 7), height=st.integers(1, 7))
+def test_parse_level_matches_cell_scan(data, width, height):
+    # A valid level's text, then at most one character substituted, deleted
+    # or inserted: the byte parse must return the same level or raise the
+    # same message as the reference scan.
+    cells = [data.draw(st.sampled_from(".#")) for _ in range(width * height)]
+    if width * height >= 2:
+        agent, goal = data.draw(st.lists(st.integers(0, width * height - 1), min_size=2,
+                                         max_size=2, unique=True))
+        cells[agent], cells[goal] = data.draw(st.sampled_from("^>v<")), "G"
+    text = "".join("".join(cells[r * width:(r + 1) * width]) + "\n" for r in range(height))
+    i = data.draw(st.integers(0, len(text)))
+    ch = data.draw(st.sampled_from(list(".#G^>v<\n") + ["x", "?", "é", "\r", " ", "\x00", "🙂"]))
+    edit = data.draw(st.sampled_from(["none", "substitute", "delete", "insert"]))
+    if edit == "substitute":
+        text = text[:i] + ch + text[i + 1:]
+    elif edit == "delete":
+        text = text[:i] + text[i + 1:]
+    elif edit == "insert":
+        text = text[:i] + ch + text[i:]
+    assert _parse_outcome(parse_level, text) == _parse_outcome(reference_parse_level, text)
 
 
 def test_multi_level_round_trip(tmp_path):
