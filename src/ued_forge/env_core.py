@@ -6,7 +6,8 @@ levels entirely to the caller (a training algorithm, an evaluation loop, a
 curriculum). ``step`` and ``reset_to_level`` are pure given an explicit RNG
 state: calling them with equal inputs and generators at equal state yields
 identical outputs, which is what makes batched rollouts reproducible
-regardless of how they are parallelized.
+regardless of how they are parallelized. An observation is ``observe(state)``,
+so a caller that keeps states needs no observations beside them.
 
 Fixed-length rollouts need episodes to restart mid-rollout, so two wrappers
 are provided:
@@ -22,7 +23,8 @@ is ever lost inside a fixed-length rollout and value bootstrapping can key
 off the done flag alone.
 
 An env may also offer an array form of many states (``batch``), which
-rollouts step as a whole; both wrappers pass their inner env's through.
+rollouts step as a whole, reading row ``e`` with ``state(e)`` and replacing
+it with ``set_state(e, state)``; both wrappers pass their inner env's through.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ class UnderspecifiedEnv(ABC):
 
     Implementations must be pure: no internal mutable state, all randomness
     drawn from the generator passed in. ``num_actions`` is the size of the
-    discrete action space; levels are opaque to this interface.
+    discrete action space; levels are opaque to this interface. The
+    observation ``reset_to_level`` and ``step`` return is ``observe(state)``.
     """
 
     @property
@@ -68,6 +71,9 @@ class UnderspecifiedEnv(ABC):
         self, state: Any, action: int, rng: np.random.Generator
     ) -> StepResult: ...
 
+    @abstractmethod
+    def observe(self, state: Any) -> Any: ...
+
     def encode_observation(self, obs: Any) -> tuple[np.ndarray, np.ndarray]:
         """Split an observation into (image, extra-features) for a policy net.
 
@@ -84,11 +90,10 @@ class UnderspecifiedEnv(ABC):
         * ``step(actions) -> mask``: applies one action per row, except on
           the rows in the returned mask, whose episode that action ends;
           those stay as they were, for the caller to step with :meth:`step`;
-        * ``state(e)`` and ``set_state(e, state, observation)`` to read and
-          replace row ``e``.
+        * ``state(e)`` and ``set_state(e, state)`` to read and replace row
+          ``e``.
 
-        A batch encodes its rows from their states, so it may ignore the
-        observation ``set_state`` passes; a rollout reads back states only.
+        A batch encodes each row from its state, as :meth:`observe` does.
         Both maze envs have a batch form; for an env without one, a rollout
         steps every row through :meth:`step`.
         """
@@ -116,8 +121,8 @@ class _WrappedBatch:
     def state(self, e: int) -> WrappedState:
         return WrappedState(inner=self.inner.state(e), level=self.levels[e])
 
-    def set_state(self, e: int, state: WrappedState, observation=None) -> None:
-        self.inner.set_state(e, state.inner, observation)
+    def set_state(self, e: int, state: WrappedState) -> None:
+        self.inner.set_state(e, state.inner)
         self.levels[e] = state.level
 
 
@@ -135,6 +140,9 @@ class _LevelResetWrapper(UnderspecifiedEnv):
     def reset_to_level(self, level, rng):
         state, obs = self.env.reset_to_level(level, rng)
         return WrappedState(inner=state, level=level), obs
+
+    def observe(self, state: WrappedState):
+        return self.env.observe(state.inner)
 
     def encode_observation(self, obs):
         return self.env.encode_observation(obs)

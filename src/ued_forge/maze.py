@@ -336,9 +336,8 @@ class MazeBatch:
         r, c = divmod(int(self.at[e] - self._base[e]), self.row_len)
         return MazeState(self.levels[e], (r - b, c - b), int(self.dir[e]), int(self.t[e]))
 
-    def set_state(self, e: int, state: MazeState, observation=None) -> None:
-        """Load ``state`` into row ``e``; the observation is recomputed from
-        the arrays, so ``observation`` is not needed."""
+    def set_state(self, e: int, state: MazeState) -> None:
+        """Load ``state`` into row ``e``."""
         level = state.level
         if level is not self.levels[e]:
             grid = _class_grid(level, self.env.border)
@@ -639,8 +638,8 @@ class MazeEditorBatch:
                           int(self.dir[e]), divmod(int(self.goal[e]), w))
         return EditorState(level, int(self.edit[e]), int(self.budget[e]))
 
-    def set_state(self, e: int, state: EditorState, observation=None) -> None:
-        """Load ``state`` into row ``e``; ``observation`` is not needed."""
+    def set_state(self, e: int, state: EditorState) -> None:
+        """Load ``state`` into row ``e``."""
         level, env = state.level, self.env
         if (level.width, level.height) != (env.width, env.height):
             raise LevelError(f"canvas is {level.width}x{level.height}, editor is "

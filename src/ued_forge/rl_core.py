@@ -47,8 +47,8 @@ row of an env without an array form, step through the env's own ``step``,
 so auto-resetting wrappers still pay the terminal reward and draw the next
 level from that row's env stream. Several policies can share one rollout,
 each acting on its own group of rows (the PAIRED students on the same
-levels). A rollout returns the trajectory and the final states; only an env
-without an array form needs the starting observations.
+levels). A rollout starts from states alone and returns each group's
+trajectory and final states.
 """
 
 from __future__ import annotations
@@ -451,23 +451,19 @@ def max_episode_discounted_returns(traj: Trajectory, gamma: float | None) -> np.
 
 class _EnvRows:
     """The batch protocol of :meth:`UnderspecifiedEnv.batch` for an env
-    without a batch form: every row steps through ``env.step``."""
+    without one: each row steps through ``env.step``, encoded at ``cfg``'s shapes."""
 
-    def __init__(self, env: UnderspecifiedEnv, states, observations, cfg: NetConfig):
-        if observations is None:
-            raise ValueError(f"{type(env).__name__} has no batch form, so rollout "
-                             "needs the starting observations")
+    def __init__(self, env: UnderspecifiedEnv, states, cfg: NetConfig):
         self.env = env
         self.states = list(states)
-        self.observations = list(observations)
         self.cfg = cfg
 
     def encode(self):
         n = len(self.states)
         img = np.zeros((n,) + tuple(self.cfg.image_shape), dtype=np.float32)
         ext = np.zeros((n, self.cfg.extra_dim), dtype=np.float32)
-        for e, obs in enumerate(self.observations):
-            img[e], ext[e] = self.env.encode_observation(obs)
+        for e, state in enumerate(self.states):
+            img[e], ext[e] = self.env.encode_observation(self.env.observe(state))
         return img, ext
 
     def step(self, actions):
@@ -476,34 +472,25 @@ class _EnvRows:
     def state(self, e):
         return self.states[e]
 
-    def set_state(self, e, state, observation):
+    def set_state(self, e, state):
         self.states[e] = state
-        self.observations[e] = observation
 
 
-def rollout(
-    env: UnderspecifiedEnv,
-    params: ActorCriticParams,
-    states: list,
-    observations: list | None,
-    n_steps: int,
-    key: rng_mod.Key,
-):
-    """Step N envs for ``n_steps``, sampling actions from the policy.
+def rollout(env: UnderspecifiedEnv, params: list[ActorCriticParams], states: list,
+            n_steps: int, keys: list[rng_mod.Key]):
+    """Step N envs for ``n_steps``, each row acting on the policy of its group.
 
-    Returns (Trajectory, final states). ``observations`` are the states'
-    starting observations; they may be None when ``env`` has a batch form,
-    which encodes the states itself. ``key`` splits into an action key and an
-    env key. Env ``i`` samples its action at step ``t`` with the uniform
-    ``generator(action key).random((N, n_steps))[i, t]``, and ``env.step``
-    draws only from ``generator(split(env key, N)[i])``. ``params`` and
-    ``key`` may also be sequences of G policies and keys: the states then
-    form G equal, contiguous groups, each acting and drawing exactly as a
-    rollout of its own states would, and the result is (list of G
-    trajectories, list of G final-state lists).
+    ``params`` and ``keys`` are equal-length sequences of G policies and
+    their keys, and the states form G equal, contiguous groups. Returns (list
+    of G trajectories, list of G final-state lists). Each group acts and
+    draws exactly as a rollout of its own states would: its key splits into
+    an action key and an env key, env ``i`` of the group samples its action
+    at step ``t`` with the uniform ``generator(action key).random((n,
+    n_steps))[i, t]``, and ``env.step`` draws only from
+    ``generator(split(env key, n)[i])``. Observations come from the states,
+    through ``env.batch`` or ``env.observe``.
     """
-    grouped = not isinstance(params, ActorCriticParams)
-    policies, keys = (list(params), list(key)) if grouped else ([params], [key])
+    policies, keys = list(params), list(keys)
     if not policies or len(keys) != len(policies) or len(states) % len(policies):
         raise ValueError(f"{len(states)} states do not split into equal groups for "
                          f"{len(policies)} policies with {len(keys)} keys")
@@ -517,7 +504,7 @@ def rollout(
     gens = [rng_mod.generator(k) for _, k_env in streams for k in rng_mod.split(k_env, n)]
     batch = env.batch(states)
     if batch is None:
-        batch = _EnvRows(env, states, observations, cfg)
+        batch = _EnvRows(env, states, cfg)
 
     # Group-major, so that each group's trajectory is a contiguous view; each
     # group's observations are one feature-major (F, T, n) block.
@@ -550,7 +537,7 @@ def rollout(
         ends = batch.step(a)
         for e in np.flatnonzero(ends):
             res = env.step(batch.state(e), int(a[e]), gens[e])
-            batch.set_state(e, res.state, res.observation)
+            batch.set_state(e, res.state)
             g, i = divmod(e, n)
             rewards[g, t, i] = res.reward
             dones[g, t, i] = res.done
@@ -560,8 +547,6 @@ def rollout(
                         np.asarray(forward(policies[g], feat[rows_g])[1], dtype=np.float64))
              for g, rows_g in enumerate(groups)]
     final = [batch.state(e) for e in rows]
-    if not grouped:
-        return trajs[0], final
     return trajs, [final[rows_g] for rows_g in groups]
 
 

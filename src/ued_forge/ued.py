@@ -360,16 +360,13 @@ def rollout_on_levels(config: UedConfig, env, policies: list, levels, keys: list
     """For each policy and its key, reset one env per level; collect one
     fixed-length batched rollout of all policies, and return each policy's
     (trajectory, GAE advantages, value targets)."""
-    states, observations, roll_keys = [], [], []
+    states, roll_keys = [], []
     for key in keys:
         k_reset, k_roll = rng_mod.split(key)
         roll_keys.append(k_roll)
-        for level, k in zip(levels, rng_mod.split(k_reset, len(levels))):
-            state, obs = env.reset_to_level(level, rng_mod.generator(k))
-            states.append(state)
-            observations.append(obs)
-    trajs, _ = rollout(env, policies, states, observations, config.ppo.rollout_steps,
-                       roll_keys)
+        states += [env.reset_to_level(level, rng_mod.generator(k))[0]
+                   for level, k in zip(levels, rng_mod.split(k_reset, len(levels)))]
+    trajs, _ = rollout(env, policies, states, config.ppo.rollout_steps, roll_keys)
     return [(traj, *compute_gae(traj, config.ppo.gamma, config.ppo.gae_lambda))
             for traj in trajs]
 
@@ -506,8 +503,8 @@ def _dr_cycle(config: UedConfig):
     env = _dr_env(config)
 
     def cycle(state: RunState, key: rng_mod.Key):
-        traj, env_states = rollout(
-            env, state.params, state.env_states, None, config.ppo.rollout_steps, key
+        [traj], [env_states] = rollout(
+            env, [state.params], state.env_states, config.ppo.rollout_steps, [key]
         )
         adv, targets = compute_gae(traj, config.ppo.gamma, config.ppo.gae_lambda)
         state, trained = _train_student(config, state, traj, adv, targets)
@@ -575,8 +572,8 @@ def _paired_cycle(config: UedConfig):
 
         # Adversary builds one level per env, one edit per step.
         ed_states = [editor_env.reset_to_level(canvas, None)[0] for _ in range(n)]
-        ed_traj, ed_states = rollout(
-            editor_env, state.adversary, ed_states, None, editor_env.episode_steps, k_ed
+        [ed_traj], [ed_states] = rollout(
+            editor_env, [state.adversary], ed_states, editor_env.episode_steps, [k_ed]
         )
         levels = [s.level for s in ed_states]
 

@@ -85,9 +85,9 @@ def test_batch_rows_match_env_step(start, resets, view_size, max_steps, data):
                 continue
             # An ended row is left as it was; the caller replaces it.
             assert batch.state(e) == state
-            states[e], obs = env.reset_to_level(resets[n_resets % len(resets)])
+            states[e] = env.reset_to_level(resets[n_resets % len(resets)])[0]
             n_resets += 1
-            batch.set_state(e, states[e], obs)
+            batch.set_state(e, states[e])
     assert_rows_match(batch, env, states)
 
 
@@ -190,6 +190,9 @@ class PerEnv(UnderspecifiedEnv):
     def step(self, state, action, rng):
         return self.env.step(state, action, rng)
 
+    def observe(self, state):
+        return self.env.observe(state)
+
     def encode_observation(self, obs):
         return self.env.encode_observation(obs)
 
@@ -206,12 +209,11 @@ def rollout_both_ways(env, levels, seed, n_steps=60):
     params = init_params(R.generator(R.key_from_seed(seed)), cfg)
     outs = []
     for stepped in (env, PerEnv(env)):
-        states, observations = zip(*(
-            stepped.reset_to_level(level, R.generator(k))
-            for level, k in zip(levels, R.split(R.key_from_seed(seed + 100), len(levels)))
-        ))
-        outs.append(rollout(stepped, params, states, observations, n_steps,
-                            R.key_from_seed(seed + 200)))
+        states = [stepped.reset_to_level(level, R.generator(k))[0]
+                  for level, k in zip(levels, R.split(R.key_from_seed(seed + 100), len(levels)))]
+        [traj], [final] = rollout(stepped, [params], states, n_steps,
+                                  [R.key_from_seed(seed + 200)])
+        outs.append((traj, final))
     return outs
 
 
@@ -237,20 +239,10 @@ def test_rollout_of_no_envs_is_empty():
     params = init_params(R.generator(R.key_from_seed(0)), cfg)
     for n_steps in (0, 3):
         for stepped in (env, PerEnv(env)):
-            traj, states = rollout(stepped, params, [], [], n_steps, R.key_from_seed(1))
+            [traj], [states] = rollout(stepped, [params], [], n_steps, [R.key_from_seed(1)])
             assert traj.features.shape == (3 * 3 * 3 + 4, n_steps, 0)
             assert traj.actions.shape == (n_steps, 0) and traj.bootstrap_values.shape == (0,)
             assert states == []
-
-
-def test_rollout_without_observations_needs_a_batch_form():
-    env = AutoReplayWrapper(MazeEnv(view_size=3))
-    cfg = NetConfig(image_shape=(3, 3, 3), extra_dim=4, n_actions=3, hidden=8)
-    params = init_params(R.generator(R.key_from_seed(0)), cfg)
-    level = generate_random_level(R.generator(R.key_from_seed(5)), 5, 5, 3)
-    state, _ = env.reset_to_level(level, None)
-    with pytest.raises(ValueError, match="observations"):
-        rollout(PerEnv(env), params, [state], None, 3, R.key_from_seed(1))
 
 
 def test_rollout_rejects_stepping_a_complete_episode():
@@ -259,6 +251,6 @@ def test_rollout_rejects_stepping_a_complete_episode():
     level = generate_random_level(R.generator(R.key_from_seed(5)), 5, 5, 3)
     cfg = NetConfig(image_shape=(3, 3, 3), extra_dim=4, n_actions=3, hidden=8)
     params = init_params(R.generator(R.key_from_seed(0)), cfg)
-    state, obs = env.reset_to_level(level)
+    state, _ = env.reset_to_level(level)
     with pytest.raises(EnvError, match="already complete"):
-        rollout(env, params, [state], [obs], 3, R.key_from_seed(1))
+        rollout(env, [params], [state], 3, [R.key_from_seed(1)])

@@ -398,20 +398,17 @@ def fresh_roll_setup(n_envs=4, seed=0):
     env = AutoReplayWrapper(MazeEnv(max_steps=12, view_size=3))
     cfg = NetConfig(image_shape=(3, 3, 3), extra_dim=4, n_actions=3, hidden=8)
     params = init_params(R.generator(R.key_from_seed(seed)), cfg)
-    states, observations = [], []
-    for k in R.split(R.key_from_seed(1000 + seed), n_envs):
-        s, o = env.reset_to_level(ROLL_LEVEL, R.generator(k))
-        states.append(s)
-        observations.append(o)
-    return env, params, states, observations
+    states = [env.reset_to_level(ROLL_LEVEL, R.generator(k))[0]
+              for k in R.split(R.key_from_seed(1000 + seed), n_envs)]
+    return env, params, states
 
 
 def test_rollout_deterministic_and_thread_invariant():
     key = R.key_from_seed(3)
     outs = []
     for _ in range(3):
-        env, params, states, obs = fresh_roll_setup()
-        traj, _ = rollout(env, params, states, obs, 20, key)
+        env, params, states = fresh_roll_setup()
+        [traj], _ = rollout(env, [params], states, 20, [key])
         outs.append(traj)
     for field in ("features", "actions", "log_probs", "values",
                   "rewards", "dones", "bootstrap_values"):
@@ -421,10 +418,10 @@ def test_rollout_deterministic_and_thread_invariant():
 
 
 def test_rollout_key_changes_actions():
-    env, params, states, obs = fresh_roll_setup()
-    t1, _ = rollout(env, params, list(states), list(obs), 20, R.key_from_seed(4))
-    env2, params2, states2, obs2 = fresh_roll_setup()
-    t2, _ = rollout(env2, params2, states2, obs2, 20, R.key_from_seed(5))
+    env, params, states = fresh_roll_setup()
+    [t1], _ = rollout(env, [params], list(states), 20, [R.key_from_seed(4)])
+    env2, params2, states2 = fresh_roll_setup()
+    [t2], _ = rollout(env2, [params2], states2, 20, [R.key_from_seed(5)])
     assert not np.array_equal(t1.actions, t2.actions)
 
 
@@ -432,9 +429,9 @@ def test_rollout_records_match_recompute():
     # A rollout's forward pass reads each step's strided (F, N) slice of the
     # block; a contiguous copy of that slice must give the same bits.
     for per_env in (False, True):
-        env, params, states, obs = fresh_roll_setup()
+        env, params, states = fresh_roll_setup()
         stepped = PerEnv(env) if per_env else env
-        traj, _ = rollout(stepped, params, states, obs, 15, R.key_from_seed(6))
+        [traj], _ = rollout(stepped, [params], states, 15, [R.key_from_seed(6)])
         for t in range(15):
             logits, values = forward(params, np.ascontiguousarray(traj.features[:, t].T))
             assert np.array_equal(traj.values[t], values)
@@ -444,8 +441,8 @@ def test_rollout_records_match_recompute():
 
 
 def test_rollout_episodes_reset_on_done():
-    env, params, states, obs = fresh_roll_setup()
-    traj, _ = rollout(env, params, states, obs, 30, R.key_from_seed(7))
+    env, params, states = fresh_roll_setup()
+    [traj], _ = rollout(env, [params], states, 30, [R.key_from_seed(7)])
     # max_steps=12 forces at least two dones per env in 30 steps
     assert traj.dones.any(axis=0).all()
     # after every done the env was reset, so no reward follows a terminal
@@ -508,8 +505,8 @@ def test_annealed_lr_schedule():
 # ---------------------------------------------------------------------------
 
 def rollout_for_update(seed=0, t_len=16):
-    env, params, states, obs = fresh_roll_setup(seed=seed)
-    traj, _ = rollout(env, params, states, obs, t_len, R.key_from_seed(seed))
+    env, params, states = fresh_roll_setup(seed=seed)
+    [traj], _ = rollout(env, [params], states, t_len, [R.key_from_seed(seed)])
     return params, traj
 
 
@@ -727,9 +724,9 @@ def test_ppo_update_matches_allocating_reference(cfg, dtype):
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_ppo_update_reads_the_rollout_block_in_place(monkeypatch, dtype):
-    env, params, states, obs = fresh_roll_setup()
+    env, params, states = fresh_roll_setup()
     params = make_params(replace(params.config, dtype=dtype))
-    traj, _ = rollout(env, params, states, obs, 16, R.key_from_seed(0))
+    [traj], _ = rollout(env, [params], states, 16, [R.key_from_seed(0)])
     b = traj.n_steps * traj.n_envs
     assert traj.features.shape == (3 * 3 * 3 + 4, 16, 4)
     made, original = [], rl_core._ppo_workspace
@@ -752,9 +749,9 @@ def test_ppo_update_reads_the_rollout_block_in_place(monkeypatch, dtype):
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 @pytest.mark.parametrize("torso", ["mlp", "conv"])
 def test_ppo_update_on_rollout_block_matches_rebuilt_copies(torso, dtype):
-    env, params, states, obs = fresh_roll_setup()
+    env, params, states = fresh_roll_setup()
     params = make_params(replace(params.config, torso=torso, conv_filters=2, dtype=dtype))
-    traj, _ = rollout(env, params, states, obs, 16, R.key_from_seed(1))
+    [traj], _ = rollout(env, [params], states, 16, [R.key_from_seed(1)])
     adv, targets = compute_gae(traj, 0.99, 0.95)
     ppo = PpoConfig(epochs=3, lr=1e-2)
     copied = replace(traj, features=traj.features.copy())

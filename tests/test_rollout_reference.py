@@ -147,9 +147,9 @@ def test_rollout_matches_scalar_draw_reference(name, n_steps):
         n_steps = min(n_steps, MazeEditorEnv(width=4, height=3, wall_budget=4).episode_steps)
     env, params, states, observations = case(name, n_steps, seed=n_steps)
     key = R.key_from_seed(7 + n_steps)
-    got = rollout(env, params, states, observations, n_steps, key)
+    [traj], [final] = rollout(env, [params], states, n_steps, [key])
     want = reference_rollout(env, params, states, observations, n_steps, key)
-    assert_same(got, want)
+    assert_same((traj, final), want)
     if n_steps in (1, 3):  # an unwrapped editor row cannot end at step 0 and go on
         assert want[0].dones[-1].any()
         assert want[0].dones[0].any() or (name == "editor" and n_steps > 1)
@@ -161,22 +161,23 @@ def test_two_policy_rollout_matches_two_rollouts(name, n_steps):
     env, p0, states, observations = case(name, n_steps, seed=1)
     p1 = init_params(R.generator(R.key_from_seed(2)), p0.config)
     keys = [R.key_from_seed(3), R.key_from_seed(4)]
-    trajs, finals = rollout(env, [p0, p1], states * 2, observations * 2, n_steps, keys)
+    trajs, finals = rollout(env, [p0, p1], states * 2, n_steps, keys)
     assert len(trajs) == len(finals) == 2
     for traj, final, params, key in zip(trajs, finals, (p0, p1), keys):
-        single = rollout(env, params, states, observations, n_steps, key)
-        assert_same((traj, final), single)
-        assert_same(single, reference_rollout(env, params, states, observations, n_steps, key))
+        [single], [single_final] = rollout(env, [params], states, n_steps, [key])
+        assert_same((traj, final), (single, single_final))
+        assert_same((single, single_final),
+                    reference_rollout(env, params, states, observations, n_steps, key))
         # The update reads each group's (F, T, n) block as one (F, T*n) matrix.
         assert traj.features.flags.c_contiguous and traj.actions.flags.c_contiguous
 
 
 def test_rollout_rejects_unequal_groups():
-    env, params, states, observations = case("replay", 3, seed=0)
+    env, params, states, _ = case("replay", 3, seed=0)
     with pytest.raises(ValueError, match="group"):
-        rollout(env, [params, params], states[:5], observations[:5], 3, [1, 2])
+        rollout(env, [params, params], states[:5], 3, [1, 2])
     with pytest.raises(ValueError, match="group"):
-        rollout(env, [params, params], states, observations, 3, [1])
+        rollout(env, [params, params], states, 3, [1])
 
 
 @pytest.mark.parametrize("per_env", [False, True])
@@ -188,7 +189,6 @@ def test_actions_depend_on_neither_env_draws_nor_group_size(per_env):
     n_steps, maze = 40, MazeEnv(max_steps=MAX_STEPS, view_size=3)
     inner = maze_starts(n_steps, R.generator(R.key_from_seed(5)))
     states = [WrappedState(s, s.level) for s in inner]
-    observations = [maze.observe(s) for s in inner]
     cfg = NetConfig(image_shape=(3, 3, 3), extra_dim=4, n_actions=3, hidden=8)
     params = init_params(R.generator(R.key_from_seed(0)), cfg)
     params = replace(params, theta=np.zeros_like(params.theta))
@@ -198,8 +198,9 @@ def test_actions_depend_on_neither_env_draws_nor_group_size(per_env):
             gen.random(k)
             return mixed_size_level(gen)
         env = AutoResetWrapper(maze, level_source)
-        return rollout(PerEnv(env) if per_env else env, params, states[:m], observations[:m],
-                       n_steps, R.key_from_seed(9))
+        [traj], [final] = rollout(PerEnv(env) if per_env else env, [params], states[:m],
+                                  n_steps, [R.key_from_seed(9)])
+        return traj, final
 
     (traj, final), (traj_k, final_k) = run(0, len(states)), run(5, len(states))
     assert traj.dones.sum(axis=0).min() >= 2 and final != final_k  # the env draws differ
