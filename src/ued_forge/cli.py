@@ -12,8 +12,8 @@ import os
 import sys
 
 from .evaluation import evaluate, network_policy, oracle_policy
-from .maze import MazeEnv, load_levels, render_level, write_ppm
-from .rl_core import TrainingDivergedError, load_params
+from .maze import LevelError, MazeEnv, load_levels, render_level, write_ppm
+from .rl_core import CheckpointError, TrainingDivergedError, load_params
 from .rng import key_from_seed
 from .ued import UedError, metrics_line, train, ued_config_from_dict
 
@@ -103,7 +103,7 @@ def _cmd_eval(args) -> int:
         return 2
     try:
         levels = _load_level_files(args.levels)
-    except Exception as exc:
+    except (OSError, LevelError) as exc:
         print(f"error: cannot load levels: {exc}", file=sys.stderr)
         return 1
     if not levels:
@@ -116,7 +116,7 @@ def _cmd_eval(args) -> int:
     else:
         try:
             params = load_params(args.ckpt)
-        except Exception as exc:
+        except (OSError, CheckpointError) as exc:
             print(f"error: cannot load checkpoint: {exc}", file=sys.stderr)
             return 1
         cfg = params.config
@@ -140,7 +140,7 @@ def _cmd_eval(args) -> int:
 def _cmd_render(args) -> int:
     try:
         levels = _load_level_files(args.levels)
-    except Exception as exc:
+    except (OSError, LevelError) as exc:
         print(f"error: cannot load levels: {exc}", file=sys.stderr)
         return 1
     if not levels:

@@ -329,4 +329,7 @@ def save_buffer(buffer: LevelBuffer, path) -> None:
 
 def load_buffer(path) -> LevelBuffer:
     with open(path, "r", encoding="utf-8") as fh:
-        return buffer_from_text(fh.read())
+        try:
+            return buffer_from_text(fh.read())
+        except UnicodeDecodeError as exc:
+            raise BufferError(f"bad buffer checkpoint: not UTF-8 text: {exc}") from exc

@@ -202,6 +202,8 @@ class MazeEnv(UnderspecifiedEnv):
     def __init__(self, max_steps: int = 250, view_size: int = 5):
         if view_size % 2 == 0 or view_size < 1:
             raise ValueError("view_size must be odd and positive")
+        if max_steps < 1:
+            raise ValueError("max_steps must be at least 1")
         self.max_steps = max_steps
         self.view_size = view_size
         # Wide enough for the view and for a forward move off the level.
@@ -529,6 +531,10 @@ class MazeEditorEnv(UnderspecifiedEnv):
     """
 
     def __init__(self, width: int = 13, height: int = 13, wall_budget: int = 20):
+        if min(width, height) < 1 or width * height < 2:
+            raise ValueError("width and height must be at least 1, with at least 2 cells")
+        if wall_budget < 0:
+            raise ValueError("wall_budget must be non-negative")
         self.width = width
         self.height = height
         self.wall_budget = wall_budget
@@ -765,7 +771,10 @@ def parse_levels(text: str) -> list[MazeLevel]:
 
 def load_levels(path) -> list[MazeLevel]:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_levels(fh.read())
+        try:
+            return parse_levels(fh.read())
+        except UnicodeDecodeError as exc:
+            raise LevelError(f"level file is not UTF-8 text: {exc}") from exc
 
 
 def save_levels(levels, path) -> None:

@@ -163,6 +163,15 @@ def test_eval_missing_levels(tmp_path, capsys):
     assert "cannot load levels" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "render"])
+def test_levels_that_are_not_utf8_fail_to_load(tmp_path, capsys, command):
+    path = tmp_path / "levels.txt"
+    path.write_bytes(b"\xff\xfe#G\n")
+    extra = ["--ckpt", "oracle"] if command == "eval" else ["--out", str(tmp_path / "x")]
+    assert main([command, "--levels", str(path), *extra]) == 1
+    assert "cannot load levels" in capsys.readouterr().err
+
+
 def test_eval_rejects_zero_episodes(tmp_path, capsys):
     path, _ = write_level_file(tmp_path)
     assert main(["eval", "--ckpt", "oracle", "--levels", path,

@@ -271,6 +271,13 @@ def test_buffer_file_round_trip(tmp_path):
     assert buffer_to_text(again) == buffer_to_text(buf)
 
 
+def test_load_buffer_rejects_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "buffer.txt"
+    path.write_bytes(b"\xff\xfe#G\n")
+    with pytest.raises(BufferError, match="UTF-8"):
+        load_buffer(path)
+
+
 @pytest.mark.parametrize(
     "mangle",
     [

@@ -213,6 +213,12 @@ def test_invalid_action_raises():
         env.step(state, 3, None)
 
 
+def test_maze_env_rejects_max_steps_below_one():
+    # Such an env would reset, and then refuse every step as complete.
+    with pytest.raises(ValueError, match="max_steps"):
+        MazeEnv(max_steps=0)
+
+
 # ---------------------------------------------------------------------------
 # BFS distances and the greedy oracle
 # ---------------------------------------------------------------------------
@@ -471,6 +477,13 @@ def test_multi_level_round_trip(tmp_path):
     assert path.read_text(encoding="utf-8") == text
 
 
+def test_load_levels_rejects_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "levels.txt"
+    path.write_bytes(b"\xff\xfe#G\n")
+    with pytest.raises(LevelError, match="UTF-8"):
+        load_levels(path)
+
+
 def test_parse_levels_single_block():
     text = "^.G\n...\n"
     assert parse_levels(text) == [parse_level(text)]
@@ -591,6 +604,18 @@ def test_editor_observation_classes_and_progress():
     gen = R.generator(R.key_from_seed(18))
     res = env.step(state, 6, gen)
     assert res.observation.progress == pytest.approx(1 / 4)
+
+
+@pytest.mark.parametrize("width, height", [(0, 5), (5, 0), (-1, -2), (1, 1)])
+def test_editor_rejects_a_canvas_without_two_cells(width, height):
+    with pytest.raises(ValueError, match="width and height"):
+        MazeEditorEnv(width=width, height=height)
+
+
+def test_editor_rejects_a_negative_wall_budget():
+    with pytest.raises(ValueError, match="wall_budget"):
+        MazeEditorEnv(wall_budget=-3)
+    assert MazeEditorEnv(wall_budget=0).episode_steps == 2
 
 
 def test_editor_rejects_wrong_canvas_size():

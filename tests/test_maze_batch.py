@@ -1,7 +1,8 @@
 """The array forms of the maze envs against the per-env reference: MazeBatch
 rows against MazeEnv.step/observe, MazeEditorBatch rows against
 MazeEditorEnv.step/observe, and rollouts through the batch against rollouts
-of the same envs stepped one by one."""
+of the same envs stepped one by one. Also the env contract that makes those
+one thing: ``observe(state)`` is the observation reset and step return."""
 
 import numpy as np
 import pytest
@@ -200,6 +201,54 @@ class PerEnv(UnderspecifiedEnv):
 def mixed_size_level(gen):
     width, height = (int(v) for v in gen.integers(2, 9, size=2))
     return generate_random_level(gen, width, height, max_walls=width * height // 3)
+
+
+def assert_observe_gives(env, state, obs):
+    """``env``'s encoding of ``observe(state)`` is that of ``obs``, byte for byte."""
+    for got, want in zip(env.encode_observation(env.observe(state)), env.encode_observation(obs)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def play_checking_observe(env, levels, n_steps, data):
+    """Reset ``env`` to each level and step it ``n_steps`` times (a bare env
+    only until its episode ends): every observation that ``reset_to_level``
+    and ``step`` return must be ``observe`` of the state they return."""
+    wrapped = isinstance(env, (AutoReplayWrapper, AutoResetWrapper))
+    gen = R.generator(R.key_from_seed(data.draw(st.integers(0, 99))))
+    n_ends = 0
+    for level in levels:
+        state, obs = env.reset_to_level(level, gen)
+        assert_observe_gives(env, state, obs)
+        for _ in range(n_steps):
+            res = env.step(state, data.draw(st.integers(0, env.num_actions - 1)), gen)
+            assert_observe_gives(env, res.state, res.observation)
+            state, n_ends = res.state, n_ends + res.done
+            if res.done and not wrapped:
+                break
+    assert n_ends >= len(levels)  # a wrapped env observed post-reset states too
+
+
+@settings(max_examples=100, deadline=None)
+@given(start=st.lists(levels(), min_size=1, max_size=3), view_size=st.sampled_from([1, 3, 5]),
+       max_steps=st.integers(1, 6), wrapper=st.sampled_from(["none", "replay", "reset"]),
+       data=st.data())
+def test_maze_observe_is_what_reset_and_step_return(start, view_size, max_steps, wrapper, data):
+    maze = MazeEnv(max_steps=max_steps, view_size=view_size)
+    env = {"none": maze, "replay": AutoReplayWrapper(maze),
+           "reset": AutoResetWrapper(maze, mixed_size_level)}[wrapper]
+    play_checking_observe(env, start, max_steps + 3, data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from([(1, 2), (2, 1), (3, 3), (4, 2)]), wrapped=st.booleans(),
+       data=st.data())
+def test_editor_observe_is_what_reset_and_step_return(shape, wrapped, data):
+    editor = MazeEditorEnv(width=shape[0], height=shape[1], wall_budget=3)
+    canvases = [s.level for s in data.draw(st.lists(editor_states(editor), min_size=1,
+                                                    max_size=3))]
+    env = AutoReplayWrapper(editor) if wrapped else editor
+    play_checking_observe(env, canvases, editor.episode_steps + 2, data)
 
 
 def rollout_both_ways(env, levels, seed, n_steps=60):
