@@ -91,9 +91,15 @@ def _cmd_train(args) -> int:
 
 
 def _load_level_files(paths):
-    levels = []
-    for path in paths:
-        levels.extend(load_levels(path))
+    """Every level in ``paths``, or None after saying why there are none."""
+    try:
+        levels = [level for path in paths for level in load_levels(path)]
+    except (OSError, LevelError) as exc:
+        print(f"error: cannot load levels: {exc}", file=sys.stderr)
+        return None
+    if not levels:
+        print("error: no levels found", file=sys.stderr)
+        return None
     return levels
 
 
@@ -101,13 +107,8 @@ def _cmd_eval(args) -> int:
     if args.episodes < 1:
         print("error: --episodes must be at least 1", file=sys.stderr)
         return 2
-    try:
-        levels = _load_level_files(args.levels)
-    except (OSError, LevelError) as exc:
-        print(f"error: cannot load levels: {exc}", file=sys.stderr)
-        return 1
-    if not levels:
-        print("error: no levels found", file=sys.stderr)
+    levels = _load_level_files(args.levels)
+    if levels is None:
         return 1
 
     if args.ckpt == "oracle":
@@ -138,17 +139,12 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    try:
-        levels = _load_level_files(args.levels)
-    except (OSError, LevelError) as exc:
-        print(f"error: cannot load levels: {exc}", file=sys.stderr)
-        return 1
-    if not levels:
-        print("error: no levels found", file=sys.stderr)
-        return 1
     if args.cell_px < 1:
         print("error: --cell-px must be at least 1", file=sys.stderr)
         return 2
+    levels = _load_level_files(args.levels)
+    if levels is None:
+        return 1
     os.makedirs(args.out, exist_ok=True)
     for i, level in enumerate(levels):
         path = os.path.join(args.out, f"level_{i:03d}.ppm")

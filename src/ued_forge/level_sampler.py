@@ -113,11 +113,18 @@ def sample_levels(
     return new, indices, [buffer.levels[i] for i in indices]
 
 
-def _check_scores(scores) -> np.ndarray:
-    arr = np.asarray(scores, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+def _checked(n, what, scores, extras):
+    """Finite float64 scores and an extras list, both of length ``n``."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
-    return arr
+    if extras is None:
+        extras = [{}] * n
+    if not n == len(scores) == len(extras):
+        raise BufferError(
+            f"length mismatch: {n} {what}, {len(scores)} scores, {len(extras)} extras"
+        )
+    return scores, extras
 
 
 def insert_batch(
@@ -129,49 +136,33 @@ def insert_batch(
     lowest slot). A candidate equal to a stored level updates that entry in
     place instead.
     """
-    scores = _check_scores(scores)
-    if extras is None:
-        extras = [{} for _ in levels]
-    if not (len(levels) == len(scores) == len(extras)):
-        raise BufferError(
-            f"length mismatch: {len(levels)} levels, {len(scores)} scores, "
-            f"{len(extras)} extras"
-        )
+    scores, extras = _checked(len(levels), "levels", scores, extras)
     counter = buffer.episode_counter + 1
-    slot_levels = list(buffer.levels)
-    slot_scores = list(buffer.scores)
-    slot_touched = list(buffer.last_touched)
-    slot_extras = list(buffer.extras)
-    key_to_slot = {lvl.key(): i for i, lvl in enumerate(slot_levels)}
+    size = buffer.size
+    pad = min(buffer.capacity - size, len(levels))
+    slot_levels = list(buffer.levels) + [None] * pad
+    slot_extras = list(buffer.extras) + [None] * pad
+    slot_scores = np.append(buffer.scores, np.zeros(pad))
+    slot_touched = np.append(buffer.last_touched, np.zeros(pad, np.int64))
+    key_to_slot = {lvl.key(): i for i, lvl in enumerate(buffer.levels)}
 
     for level, score, extra in zip(levels, scores, extras):
-        score = float(score)
-        extra = dict(extra)
         key = level.key()
-        if key in key_to_slot:
-            j = key_to_slot[key]
-            slot_scores[j] = score
-            slot_extras[j] = extra
-            slot_touched[j] = counter
-            continue
-        if len(slot_levels) < buffer.capacity:
-            slot_levels.append(level)
-            slot_scores.append(score)
-            slot_touched.append(counter)
-            slot_extras.append(extra)
-            key_to_slot[key] = len(slot_levels) - 1
-        else:
-            j = int(np.argmin(slot_scores))
-            if score > slot_scores[j]:
+        j = key_to_slot.get(key)
+        if j is None:
+            if size < buffer.capacity:
+                j, size = size, size + 1
+            else:
+                j = int(np.argmin(slot_scores))
+                if not score > slot_scores[j]:
+                    continue
                 del key_to_slot[slot_levels[j].key()]
-                slot_levels[j] = level
-                slot_scores[j] = score
-                slot_touched[j] = counter
-                slot_extras[j] = extra
-                key_to_slot[key] = j
+            key_to_slot[key] = j
+            slot_levels[j] = level
+        slot_scores[j], slot_touched[j], slot_extras[j] = score, counter, dict(extra)
 
-    return replace(buffer, levels=tuple(slot_levels), scores=np.array(slot_scores, np.float64),
-                   last_touched=np.array(slot_touched, np.int64), extras=tuple(slot_extras),
+    return replace(buffer, levels=tuple(slot_levels[:size]), scores=slot_scores[:size],
+                   last_touched=slot_touched[:size], extras=tuple(slot_extras[:size]),
                    episode_counter=counter)
 
 
@@ -180,15 +171,8 @@ def update_batch(
 ) -> LevelBuffer:
     """Overwrite scores/extras at occupied slots and refresh their staleness.
     Duplicate indices in one batch: the last write wins."""
-    scores = _check_scores(scores)
     indices = np.asarray(indices, dtype=np.int64)
-    if extras is None:
-        extras = [{} for _ in indices]
-    if not (len(indices) == len(scores) == len(extras)):
-        raise BufferError(
-            f"length mismatch: {len(indices)} indices, {len(scores)} scores, "
-            f"{len(extras)} extras"
-        )
+    scores, extras = _checked(len(indices), "indices", scores, extras)
     if indices.size and (indices.min() < 0 or indices.max() >= buffer.size):
         raise BufferError(
             f"index out of range for buffer of size {buffer.size}"
@@ -198,9 +182,7 @@ def update_batch(
     slot_touched = buffer.last_touched.copy()
     slot_extras = list(buffer.extras)
     for i, score, extra in zip(indices, scores, extras):
-        slot_scores[i] = float(score)
-        slot_extras[i] = dict(extra)
-        slot_touched[i] = counter
+        slot_scores[i], slot_touched[i], slot_extras[i] = score, counter, dict(extra)
     return replace(buffer, scores=slot_scores, last_touched=slot_touched,
                    extras=tuple(slot_extras), episode_counter=counter)
 
@@ -271,6 +253,8 @@ def _parse_buffer(text: str) -> LevelBuffer:
     episode_counter = int(expect(3, "episode_counter "))
     if capacity < 1:
         raise BufferError(f"checkpoint capacity {capacity} is below 1")
+    if size < 0:
+        raise BufferError(f"checkpoint size {size} is negative")
     if episode_counter < 0:
         raise BufferError(f"checkpoint episode_counter {episode_counter} is negative")
 
@@ -315,6 +299,8 @@ def _parse_buffer(text: str) -> LevelBuffer:
     )
     if buf.size > capacity:
         raise BufferError("checkpoint size exceeds capacity")
+    if len(set(levels)) < len(levels):
+        raise BufferError("checkpoint holds one level in two entries")
     if not np.all(np.isfinite(buf.scores)):
         raise BufferError("checkpoint has a non-finite score")
     if buf.size and not 0 <= buf.last_touched.min() <= buf.last_touched.max() <= episode_counter:

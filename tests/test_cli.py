@@ -1,8 +1,10 @@
 """Command-line interface: argument handling, exit codes, output files."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -197,6 +199,9 @@ def test_render_rejects_bad_cell_px(tmp_path):
     path, _ = write_level_file(tmp_path)
     assert main(["render", "--levels", path, "--out", str(tmp_path / "x"),
                  "--cell-px", "0"]) == 2
+    # A bad flag is a configuration error even when the level file is missing.
+    assert main(["render", "--levels", str(tmp_path / "missing.txt"),
+                 "--out", str(tmp_path / "x"), "--cell-px", "0"]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +209,11 @@ def test_render_rejects_bad_cell_px(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_console_script_help_via_module():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "ued_forge.cli", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     for sub in ("train", "eval", "render"):

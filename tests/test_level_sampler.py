@@ -2,13 +2,17 @@
 and the text checkpoint format."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ued_forge import rng as R
 from ued_forge.level_sampler import (
     BufferError,
+    LevelBuffer,
     SamplerConfig,
     buffer_from_text,
     buffer_to_text,
@@ -154,6 +158,130 @@ def test_insert_rejects_nonfinite_scores():
         insert_batch(new_buffer(3), lv, [np.inf])
 
 
+def reference_insert_batch(buffer, levels, scores, extras=None):
+    """The list-based ``insert_batch`` that the column version replaced, kept as
+    its reference."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("scores must be finite")
+    if extras is None:
+        extras = [{} for _ in levels]
+    if not (len(levels) == len(scores) == len(extras)):
+        raise BufferError("length mismatch")
+    counter = buffer.episode_counter + 1
+    slot_levels = list(buffer.levels)
+    slot_scores = list(buffer.scores)
+    slot_touched = list(buffer.last_touched)
+    slot_extras = list(buffer.extras)
+    key_to_slot = {lvl.key(): i for i, lvl in enumerate(slot_levels)}
+
+    for level, score, extra in zip(levels, scores, extras):
+        score = float(score)
+        extra = dict(extra)
+        key = level.key()
+        if key in key_to_slot:
+            j = key_to_slot[key]
+            slot_scores[j] = score
+            slot_extras[j] = extra
+            slot_touched[j] = counter
+            continue
+        if len(slot_levels) < buffer.capacity:
+            slot_levels.append(level)
+            slot_scores.append(score)
+            slot_touched.append(counter)
+            slot_extras.append(extra)
+            key_to_slot[key] = len(slot_levels) - 1
+        else:
+            j = int(np.argmin(slot_scores))
+            if score > slot_scores[j]:
+                del key_to_slot[slot_levels[j].key()]
+                slot_levels[j] = level
+                slot_scores[j] = score
+                slot_touched[j] = counter
+                slot_extras[j] = extra
+                key_to_slot[key] = j
+
+    return replace(buffer, levels=tuple(slot_levels), scores=np.array(slot_scores, np.float64),
+                   last_touched=np.array(slot_touched, np.int64), extras=tuple(slot_extras),
+                   episode_counter=counter)
+
+
+def assert_same_buffer(got, want):
+    assert (got.capacity, got.episode_counter) == (want.capacity, want.episode_counter)
+    # The same level objects: an entry a candidate updated in place keeps its object.
+    assert len(got.levels) == len(want.levels)
+    assert all(a is b for a, b in zip(got.levels, want.levels))
+    for column in ("scores", "last_touched"):
+        a, b = getattr(got, column), getattr(want, column)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert not a.flags.writeable
+    assert got.extras == want.extras
+    assert buffer_to_text(got) == buffer_to_text(want)
+
+
+POOL = list(dict.fromkeys(levels_n(R.key_from_seed(30), 16)))[:12]
+TIED = st.sampled_from([-1.0, 0.0, 0.5, 2.0])
+EXTRA = st.sampled_from([{}, {"max_return": 0.25}, {"max_return": -1.5}])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_insert_batch_matches_reference_at_capacity(data):
+    # Few distinct scores, so the minimum is often tied and candidates often
+    # fail to beat it; candidates come from a pool that holds the stored levels.
+    capacity = data.draw(st.integers(1, 8))
+    size = capacity - data.draw(st.integers(0, 1))
+    order = data.draw(st.permutations(range(len(POOL))))
+    counter = data.draw(st.integers(0, 4))
+
+    def column(elems):
+        return data.draw(st.lists(elems, min_size=size, max_size=size))
+
+    buf = LevelBuffer(
+        capacity=capacity,
+        levels=tuple(POOL[i] for i in order[:size]),
+        scores=np.array(column(TIED), dtype=np.float64),
+        last_touched=np.array(column(st.integers(0, counter)), dtype=np.int64),
+        extras=tuple(column(EXTRA)),
+        episode_counter=counter,
+    )
+    picks = data.draw(st.lists(st.integers(0, len(POOL) - 1), max_size=10))
+    n = len(picks)
+    levels = [POOL[i] for i in picks]
+    scores = data.draw(st.lists(TIED, min_size=n, max_size=n))
+    extras = data.draw(st.none() | st.lists(EXTRA, min_size=n, max_size=n))
+    text = buffer_to_text(buf)
+    got = insert_batch(buf, levels, scores, extras)
+    assert buffer_to_text(buf) == text  # the input buffer is untouched
+    assert_same_buffer(got, reference_insert_batch(buf, levels, scores, extras))
+
+
+def test_insert_batch_matches_reference_on_full_paper_size_buffer():
+    key = R.key_from_seed(31)
+    gen = R.generator(key)
+    pool = [generate_random_level(R.generator(R.fold_in(key, i)), 13, 13, 60)
+            for i in range(4_064)]
+    assert len(set(pool)) == len(pool)
+    buf = LevelBuffer(
+        capacity=4_000,
+        levels=tuple(pool[:4_000]),
+        scores=gen.integers(0, 51, 4_000) / 50,  # about 80 entries tie at 0.0
+        last_touched=gen.integers(0, 500, 4_000),
+        extras=tuple({"max_return": float(r)} for r in gen.random(4_000)),
+        episode_counter=500,
+    )
+    for _ in range(2):
+        # Stored levels, new levels (one of them twice), and a third of the
+        # scores at the minimum, which cannot evict.
+        picks = np.concatenate([gen.integers(0, 4_000, 12), gen.integers(4_000, 4_064, 19), [4_010]])
+        levels = [pool[i] for i in gen.permutation(picks)]
+        scores = gen.integers(0, 3, 32) / 50
+        extras = [{"max_return": float(r)} for r in gen.random(32)]
+        got = insert_batch(buf, levels, scores, extras)
+        assert_same_buffer(got, reference_insert_batch(buf, levels, scores, extras))
+        buf = got
+
+
 def test_update_batch_bounds_and_last_write_wins():
     buf, _ = filled(R.key_from_seed(15), [0.1, 0.2, 0.3])
     with pytest.raises(BufferError):
@@ -278,6 +406,12 @@ def test_load_buffer_rejects_text_that_is_not_utf8(tmp_path):
         load_buffer(path)
 
 
+def with_first_entry_twice(text):
+    head, *entries = text.rstrip("\n").split("\n\n")
+    head = re.sub(r"size (\d+)", lambda m: f"size {int(m[1]) + 1}", head)
+    return "\n\n".join([head, *entries, entries[0]]) + "\n"
+
+
 @pytest.mark.parametrize(
     "mangle",
     [
@@ -293,6 +427,10 @@ def test_load_buffer_rejects_text_that_is_not_utf8(tmp_path):
         lambda t: re.sub(r"last_touched \d+", "last_touched -1", t, count=1),
         lambda t: re.sub(r"score \S+", "score nan", t, count=1),
         lambda t: re.sub(r"score \S+", "score -inf", t, count=1),
+        lambda t: "ued-forge-buffer v1\ncapacity 4\nsize -1\nepisode_counter 0\n",
+        # One level in two entries, which once loaded and then made the next
+        # insert that evicted both raise a bare KeyError.
+        with_first_entry_twice,
     ],
 )
 def test_buffer_from_text_rejects_malformed(mangle):
