@@ -54,7 +54,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bad_seed(seed: int) -> bool:
+    """Whether ``seed`` is out of range for :func:`key_from_seed`, saying so."""
+    try:
+        key_from_seed(seed)
+    except ValueError as exc:
+        print(f"error: --seed: {exc}", file=sys.stderr)
+        return True
+    return False
+
+
 def _cmd_train(args) -> int:
+    if _bad_seed(args.seed):
+        return 2
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -104,6 +116,8 @@ def _load_level_files(paths):
 
 
 def _cmd_eval(args) -> int:
+    if _bad_seed(args.seed):
+        return 2
     if args.episodes < 1:
         print("error: --episodes must be at least 1", file=sys.stderr)
         return 2

@@ -5,17 +5,19 @@ whether the goal was reached, and aggregates across levels with both the
 plain mean and the interquartile mean (mean of the middle half, with
 floor(n/4) values dropped from each end).
 
-Policies are callables ``action = policy(state, observation, rng)``. The
-network policy acts greedily by default (argmax logits, lowest index on
-ties) or samples when asked, from logits computed once per distinct
-observation of the current level (exact: the net is read-only and has no
-memory); the oracle follows shortest-path distances, the natural skyline.
+Policies are callables ``action = policy(state, observation, rng)``. Episodes
+step with ``MazeEnv.move`` and share each level's read-only observations. The
+network policy acts greedily by default (argmax logits, lowest index on ties)
+or samples when asked, from logits computed once per distinct observation of
+the current level (exact: the net is read-only and has no memory); the oracle
+follows shortest-path distances, the natural skyline.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -42,10 +44,10 @@ def holdout_names() -> list[str]:
 
 def holdout_levels(name: str) -> list[MazeLevel]:
     """Packaged evaluation set by name (see :func:`holdout_names`)."""
-    path = os.path.join(_HOLDOUT_DIR, name + ".txt")
-    if not os.path.isfile(path):
-        raise ValueError(f"no holdout set {name!r}; have {holdout_names()}")
-    return load_levels(path)
+    names = holdout_names()
+    if name not in names:
+        raise ValueError(f"no holdout set {name!r}; have {names}")
+    return load_levels(os.path.join(_HOLDOUT_DIR, name + ".txt"))
 
 
 def interquartile_mean(values) -> float:
@@ -63,24 +65,29 @@ def network_policy(params: ActorCriticParams, env, sample: bool = False):
     Greedy argmax unless ``sample``; sampling consumes one uniform draw per
     step from the provided generator. Each distinct observation's argmax or
     CDF is memoized by its bytes (exact: ``params`` are read-only and a B = 1
-    forward repeats its bits) until the level object changes: ≤ 4·H·W entries.
+    forward repeats its bits) and by object, per level: ≤ 4·H·W entries each.
     """
-    level, memo = None, {}
+    level, memo, seen = None, {}, {}
 
     def policy(state, obs, rng: np.random.Generator) -> int:
-        nonlocal level, memo
+        nonlocal level, memo, seen
         if state.level is not level:
-            level, memo = state.level, {}
-        image, extra = env.encode_observation(obs)
-        key = image.tobytes() + extra.tobytes()
-        out = memo.get(key)
-        if out is None:
-            logits, _ = forward(params, _features(image[None], extra[None], np.float32))
-            if not sample:
-                out = memo[key] = int(np.argmax(logits[0]))
-            else:  # a running sum in Python adds in np.cumsum's order
-                probs = np.exp(log_softmax(logits.astype(np.float64))[0]).tolist()
-                out = memo[key] = list(itertools.accumulate(probs))
+            level, memo, seen = state.level, {}, {}
+        held, out = seen.get(id(obs), (None, None))  # held keeps id(obs) unique
+        if held is not obs:
+            image, extra = env.encode_observation(obs)
+            key = image.tobytes() + extra.tobytes()
+            out = memo.get(key)
+            if out is None:
+                logits, _ = forward(params, _features(image[None], extra[None], np.float32))
+                if not sample:
+                    out = memo[key] = int(np.argmax(logits[0]))
+                else:  # a running sum in Python adds in np.cumsum's order
+                    probs = np.exp(log_softmax(logits.astype(np.float64))[0]).tolist()
+                    out = memo[key] = list(itertools.accumulate(probs))
+            if len(seen) >= 4 * level.height * level.width:
+                seen.clear()
+            seen[id(obs)] = obs, out
         if not sample:
             return out
         return min(bisect.bisect_right(out, rng.random() * out[-1]), len(out) - 1)
@@ -133,16 +140,24 @@ class EvalReport:
         return lines
 
 
-def run_episode(env: MazeEnv, policy, level: MazeLevel, rng: np.random.Generator):
-    """One episode from reset to done. Returns (undiscounted return, solved)."""
-    state, obs = env.reset_to_level(level, rng)
+def _play(env: MazeEnv, policy, level: MazeLevel, rng: np.random.Generator, memo: dict):
+    """:func:`run_episode` with one level's observations in ``memo``, read-only."""
+    state, _ = env.reset_to_level(level, rng)
     total = 0.0
     while True:
-        action = policy(state, obs, rng)
-        state, obs, reward, done = env.step(state, action, rng)
+        obs = memo.get((state.agent_pos, state.agent_dir))
+        if obs is None:
+            obs = memo[state.agent_pos, state.agent_dir] = env.observe(state)
+            obs.view.setflags(write=False)
+        state, reward, done = env.move(state, policy(state, obs, rng))
         total += float(reward)
         if done:
             return total, bool(reward > 0)
+
+
+def run_episode(env: MazeEnv, policy, level: MazeLevel, rng: np.random.Generator):
+    """One episode from reset to done. Returns (undiscounted return, solved)."""
+    return _play(env, policy, level, rng, {})
 
 
 def evaluate(
@@ -156,13 +171,16 @@ def evaluate(
     levels = list(levels)
     if not levels:
         raise ValueError("no levels to evaluate")
+    if isinstance(episodes, bool) or not isinstance(episodes, numbers.Integral):
+        raise TypeError(f"episodes must be an integer, not {type(episodes).__name__}")
     if episodes < 1:
         raise ValueError("episodes must be at least 1")
     solve = np.zeros(len(levels), dtype=np.float64)
     rets = np.zeros(len(levels), dtype=np.float64)
     for i, (level, k_level) in enumerate(zip(levels, rng_mod.split(key, len(levels)))):
+        memo = {}  # (agent_pos, agent_dir) -> observation, for this level only
         for k_ep in rng_mod.split(k_level, episodes):
-            ret, ok = run_episode(env, policy, level, rng_mod.generator(k_ep))
+            ret, ok = _play(env, policy, level, rng_mod.generator(k_ep), memo)
             rets[i] += ret
             solve[i] += ok
     solve /= episodes

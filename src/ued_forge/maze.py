@@ -224,6 +224,11 @@ class MazeEnv(UnderspecifiedEnv):
         return state, self.observe(state)
 
     def step(self, state: MazeState, action: int, rng=None) -> StepResult:
+        new_state, reward, done = self.move(state, action)
+        return StepResult(new_state, self.observe(new_state), reward, done)
+
+    def move(self, state: MazeState, action: int) -> tuple[MazeState, float, bool]:
+        """:meth:`step` without the observation: (next state, reward, done)."""
         if not 0 <= action < 3:
             raise EnvError(f"invalid maze action {action}")
         if state.timestep >= self.max_steps or state.agent_pos == state.level.goal_pos:
@@ -247,7 +252,7 @@ class MazeEnv(UnderspecifiedEnv):
             reward, done = 0.0, True
         else:
             reward, done = 0.0, False
-        return StepResult(new_state, self.observe(new_state), reward, done)
+        return new_state, reward, done
 
     def observe(self, state: MazeState) -> MazeObservation:
         b = self.border

@@ -12,6 +12,7 @@ order and thread count.
 from __future__ import annotations
 
 import hashlib
+import numbers
 
 import numpy as np
 
@@ -26,8 +27,16 @@ _TAG_FOLD = b"f"
 
 
 def key_from_seed(seed: int) -> Key:
-    """Derive a root key from a user-facing integer seed."""
-    data = b"ued-forge-seed" + int(seed).to_bytes(16, "little", signed=True)
+    """Derive a root key from a user-facing integer seed in [-2**127, 2**127).
+
+    Raises ``TypeError`` for a bool or a non-integral seed and ``ValueError``
+    for one out of range."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise TypeError(f"seed must be an integer, not {type(seed).__name__}")
+    seed = int(seed)
+    if not -(1 << 127) <= seed < 1 << 127:
+        raise ValueError(f"seed must lie in [-2**127, 2**127), got {seed}")
+    data = b"ued-forge-seed" + seed.to_bytes(16, "little", signed=True)
     return int.from_bytes(
         hashlib.blake2b(data, digest_size=_KEY_BYTES).digest(), "little"
     )

@@ -122,6 +122,17 @@ def test_train_bad_field_fails_before_training(tmp_path, capsys, change):
     assert not (tmp_path / "run").exists()
 
 
+OUT_OF_RANGE_SEEDS = [str(1 << 128), str(1 << 127), str(-(1 << 127) - 1)]
+
+
+@pytest.mark.parametrize("seed", OUT_OF_RANGE_SEEDS)
+def test_train_rejects_seed_out_of_range(tmp_path, capsys, seed):
+    cfg = write_config(tmp_path, TINY)
+    assert main(["train", "--config", cfg, "--seed", seed, "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith("error: --seed")
+    assert not (tmp_path / "run").exists()
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
@@ -178,6 +189,22 @@ def test_eval_rejects_zero_episodes(tmp_path, capsys):
     path, _ = write_level_file(tmp_path)
     assert main(["eval", "--ckpt", "oracle", "--levels", path,
                  "--episodes", "0"]) == 2
+
+
+@pytest.mark.parametrize("seed", OUT_OF_RANGE_SEEDS)
+def test_eval_rejects_seed_out_of_range(tmp_path, capsys, seed):
+    path, _ = write_level_file(tmp_path)
+    assert main(["eval", "--ckpt", "oracle", "--levels", path, "--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --seed") and captured.out == ""
+
+
+def test_seeds_at_the_ends_of_the_range_run(tmp_path, capsys):
+    path, _ = write_level_file(tmp_path)
+    for seed in (str((1 << 127) - 1), str(-(1 << 127))):
+        assert main(["eval", "--ckpt", "oracle", "--levels", path, "--episodes", "1",
+                     "--seed", seed]) == 0
+    assert "aggregate" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,18 @@
 
 import bisect
 import itertools
+import os
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ued_forge import evaluation
 from ued_forge import rng as R
 from ued_forge.evaluation import (
+    EvalReport,
     evaluate,
     holdout_levels,
     holdout_names,
@@ -20,6 +24,7 @@ from ued_forge.evaluation import (
 )
 from ued_forge.maze import MazeEnv, parse_level, shortest_path_distances
 from ued_forge.rl_core import NetConfig, _features, forward, init_params, log_softmax
+from test_maze_batch import levels as mixed_size_levels
 
 
 def student_params(seed=0, view=5, dtype="float32"):
@@ -144,6 +149,15 @@ def test_holdout_names_and_missing():
         holdout_levels("nope")
 
 
+def test_holdout_levels_takes_names_not_paths():
+    # Each of these names a packaged file through a path; only bare names load.
+    here = os.path.dirname(evaluation.__file__)
+    for name in ("../holdouts/easy_9x9", "./easy_9x9", os.path.join(here, "holdouts", "easy_9x9"),
+                 "easy_9x9.txt", ""):
+        with pytest.raises(ValueError, match="no holdout set"):
+            holdout_levels(name)
+
+
 def test_evaluate_deterministic_in_key():
     env = MazeEnv(max_steps=20, view_size=5)
     levels = holdout_levels("easy_9x9")[:3]
@@ -185,8 +199,21 @@ def test_evaluate_input_validation():
     env = MazeEnv(max_steps=10)
     with pytest.raises(ValueError):
         evaluate(env, oracle_policy(), [], episodes=2)
-    with pytest.raises(ValueError):
-        evaluate(env, oracle_policy(), [STRAIGHT], episodes=0)
+    calls = []
+
+    def policy(state, obs, rng):
+        calls.append(state)
+        return 2
+
+    for episodes, error in ((0, ValueError), (-1, ValueError), (np.int64(0), ValueError),
+                            (True, TypeError), (False, TypeError), (np.bool_(True), TypeError),
+                            (2.5, TypeError), (2.0, TypeError), (np.float64(2), TypeError),
+                            ("2", TypeError), (None, TypeError)):
+        with pytest.raises(error, match="episodes"):
+            evaluate(env, policy, [STRAIGHT], episodes=episodes)
+    assert calls == []  # raised before any episode ran
+    report = evaluate(env, policy, [STRAIGHT], episodes=np.int64(2))
+    assert report.n_episodes == 2 and len(calls) == 2 * 4
 
 
 # ---------------------------------------------------------------------------
@@ -289,3 +316,164 @@ def test_bisect_right_matches_searchsorted_with_zero_probability_actions():
     for u in uniforms:
         a = int(np.searchsorted(cdf, u * cdf[-1], side="right"))
         assert pol(state, obs, gen) == min(a, cdf.size - 1)
+
+
+# ---------------------------------------------------------------------------
+# The per-level observation memo of evaluate
+# ---------------------------------------------------------------------------
+
+def reference_run_episode(env, policy, level, rng):
+    """``run_episode`` before the observation memo: ``env.step`` observes
+    every state it returns."""
+    state, obs = env.reset_to_level(level, rng)
+    total = 0.0
+    while True:
+        action = policy(state, obs, rng)
+        state, obs, reward, done = env.step(state, action, rng)
+        total += float(reward)
+        if done:
+            return total, bool(reward > 0)
+
+
+def reference_evaluate(env, policy, levels, episodes, key):
+    """``evaluate`` before the observation memo, on :func:`reference_run_episode`."""
+    solve = np.zeros(len(levels), dtype=np.float64)
+    rets = np.zeros(len(levels), dtype=np.float64)
+    for i, (level, k_level) in enumerate(zip(levels, R.split(key, len(levels)))):
+        for k_ep in R.split(k_level, episodes):
+            ret, ok = reference_run_episode(env, policy, level, R.generator(k_ep))
+            rets[i] += ret
+            solve[i] += ok
+    solve /= episodes
+    rets /= episodes
+    return EvalReport(
+        n_levels=len(levels), n_episodes=episodes, solve_rates=solve, mean_returns=rets,
+        solve_rate_mean=float(solve.mean()), solve_rate_iqm=interquartile_mean(solve),
+        return_mean=float(rets.mean()), return_iqm=interquartile_mean(rets),
+    )
+
+
+def report_bytes(report):
+    return (report.n_levels, report.n_episodes, report.solve_rates.tobytes(),
+            report.mean_returns.tobytes(), report.solve_rate_mean, report.solve_rate_iqm,
+            report.return_mean, report.return_iqm, report.summary_lines())
+
+
+POLICIES = ["greedy/1", "greedy/300", "sampled/1", "sampled/300", "oracle"]
+
+
+def make_policy(name, env):
+    if name == "oracle":
+        return oracle_policy()
+    mode, scale = name.split("/")
+    params = scaled(student_params(4, view=env.view_size), np.float32(scale))
+    return network_policy(params, env, sample=mode == "sampled")
+
+
+def recording(policy, env, received):
+    """``policy`` appending each (state, observation bytes) it is given."""
+
+    def wrapper(state, obs, rng):
+        image, extra = env.encode_observation(obs)
+        received.append((state, image.tobytes() + extra.tobytes()))
+        return policy(state, obs, rng)
+
+    return wrapper
+
+
+def assert_sweeps_match(env, levels, episodes, key):
+    for name in POLICIES:
+        runs = []
+        for sweep in (evaluate, reference_evaluate):
+            received = []
+            report = sweep(env, recording(make_policy(name, env), env, received), levels,
+                           episodes, key)
+            runs.append((report_bytes(report), received))
+        assert runs[0][0] == runs[1][0], name
+        assert runs[0][1] == runs[1][1], name
+
+
+@settings(max_examples=40, deadline=None)
+@given(levels=st.lists(mixed_size_levels(), min_size=1, max_size=4),
+       view_size=st.sampled_from([3, 5]), max_steps=st.integers(1, 30),
+       episodes=st.integers(1, 3), seed=st.integers(0, 2**32))
+def test_memoized_sweep_equals_reference_on_mixed_levels(levels, view_size, max_steps,
+                                                          episodes, seed):
+    # Repeats one level object too, back to back and apart.
+    levels = levels + levels[:1] + levels[-1:]
+    env = MazeEnv(max_steps=max_steps, view_size=view_size)
+    assert_sweeps_match(env, levels, episodes, R.key_from_seed(seed))
+
+
+@pytest.mark.parametrize("holdout", ["easy_9x9", "eval_13x13"])
+def test_memoized_sweep_equals_reference_on_holdouts(holdout):
+    assert_sweeps_match(MazeEnv(max_steps=80), holdout_levels(holdout), 2, R.key_from_seed(11))
+
+
+def test_run_episode_equals_reference():
+    env = MazeEnv(max_steps=60)
+    for level in holdout_levels("easy_9x9")[:4]:
+        for name in POLICIES:
+            runs = []
+            for play in (run_episode, reference_run_episode):
+                received = []
+                runs.append((play(env, recording(make_policy(name, env), env, received), level,
+                                  R.generator(3)), received))
+            assert runs[0] == runs[1], name
+
+
+def test_memoized_views_are_read_only():
+    env = MazeEnv(max_steps=30)
+    seen = []
+
+    def policy(state, obs, rng):
+        seen.append(obs)
+        with pytest.raises(ValueError, match="read-only"):
+            obs.view[0, 0, 0] = 5.0
+        return int(rng.integers(3))
+
+    evaluate(env, policy, holdout_levels("easy_9x9")[:2], episodes=2)
+    run_episode(env, policy, STRAIGHT, R.generator(0))
+    assert len(seen) > 10 and not any(obs.view.flags.writeable for obs in seen)
+    assert len({id(obs) for obs in seen}) < len(seen)  # episodes share observations
+
+
+@pytest.mark.parametrize("sample", [False, True])
+def test_observe_runs_once_per_distinct_position_of_a_level(monkeypatch, sample):
+    events = []  # ("reset", level) or ("observe", level, (pos, dir)), in call order
+    observe, reset = MazeEnv.observe, MazeEnv.reset_to_level
+
+    def counted_observe(self, state):
+        events.append(("observe", state.level, (state.agent_pos, state.agent_dir)))
+        return observe(self, state)
+
+    def counted_reset(self, level, rng=None):
+        events.append(("reset", level))
+        return reset(self, level, rng)
+
+    monkeypatch.setattr(MazeEnv, "observe", counted_observe)
+    monkeypatch.setattr(MazeEnv, "reset_to_level", counted_reset)
+    env = MazeEnv(max_steps=60)
+    a, b = holdout_levels("easy_9x9")[:2]
+    episodes, steps = 3, []
+    evaluate(env, recording(network_policy(student_params(), env, sample), env, steps),
+             [a, b, a], episodes=episodes, key=R.key_from_seed(2))
+    visits = []  # per run of events on one level: resets and non-reset observations
+    after_reset = False
+    for kind, level, *at in events:
+        if not visits or visits[-1][0] is not level:
+            visits.append((level, [0], []))
+        if kind == "reset":
+            visits[-1][1][0] += 1
+            after_reset = True
+        elif after_reset:  # the observation reset_to_level makes
+            after_reset = False
+        else:
+            visits[-1][2].append(at[0])
+    assert [level for level, _, _ in visits] == [a, b, a]
+    for level, (resets,), observed in visits:
+        assert resets == episodes
+        assert len(observed) == len(set(observed))  # each (pos, dir) at most once
+        # The memo starts empty on each visit: the start is observed again.
+        assert observed[0] == (level.agent_pos, level.agent_dir)
+    assert sum(len(observed) for _, _, observed in visits) < 0.5 * len(steps)

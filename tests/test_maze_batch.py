@@ -251,6 +251,35 @@ def test_editor_observe_is_what_reset_and_step_return(shape, wrapped, data):
     play_checking_observe(env, canvases, editor.episode_steps + 2, data)
 
 
+def outcome(call):
+    """What ``call()`` returns, or the type and message of the error it raises."""
+    try:
+        return call()
+    except EnvError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(start=st.lists(levels(), min_size=1, max_size=3), view_size=st.sampled_from([1, 3, 5]),
+       max_steps=st.integers(1, 6), data=st.data())
+def test_step_is_move_then_observe(start, view_size, max_steps, data):
+    # Valid actions until past each episode's end, then invalid ones too.
+    env = MazeEnv(max_steps=max_steps, view_size=view_size)
+    for level in start:
+        state, _ = env.reset_to_level(level)
+        for _ in range(max_steps + 2):
+            action = data.draw(st.integers(-1, 3) if state.timestep else st.integers(0, 2))
+            stepped = outcome(lambda: tuple(env.step(state, action)))
+            moved = outcome(lambda: env.move(state, action))
+            if isinstance(moved[0], type):
+                assert stepped == moved
+                continue
+            next_state, reward, done = moved
+            assert stepped[0] == next_state and stepped[2:] == (reward, done)
+            assert_observe_gives(env, next_state, stepped[1])
+            state = next_state
+
+
 def rollout_both_ways(env, levels, seed, n_steps=60):
     """The same rollout through ``env``'s batch and through ``PerEnv(env)``."""
     cfg = NetConfig(image_shape=(env.env.view_size,) * 2 + (3,), extra_dim=4, n_actions=3,

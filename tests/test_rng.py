@@ -1,6 +1,11 @@
 """Splittable key derivation and generator streams."""
 
+import hashlib
+
 import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ued_forge import rng as R
 
@@ -67,3 +72,32 @@ def test_generator_accepts_large_keys():
     huge = (1 << 128) - 1
     g = R.generator(huge)
     assert 0.0 <= g.random() < 1.0
+
+
+def reference_key_from_seed(seed):
+    data = b"ued-forge-seed" + seed.to_bytes(16, "little", signed=True)
+    return int.from_bytes(hashlib.blake2b(data, digest_size=16).digest(), "little")
+
+
+@given(st.integers(-(1 << 127), (1 << 127) - 1))
+def test_key_from_seed_keeps_every_valid_key(seed):
+    assert R.key_from_seed(seed) == reference_key_from_seed(seed)
+
+
+def test_key_from_seed_takes_numpy_integers():
+    assert R.key_from_seed(np.int64(-5)) == R.key_from_seed(-5)
+    assert R.key_from_seed(np.uint8(200)) == R.key_from_seed(200)
+
+
+def test_key_from_seed_rejects_non_integral_seeds():
+    for seed in (1.5, 1.0, True, False, np.bool_(True), np.float64(3), "1", None, 1j):
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            R.key_from_seed(seed)
+
+
+def test_key_from_seed_rejects_seeds_out_of_range():
+    for seed in (1 << 127, -(1 << 127) - 1, 1 << 128, -(1 << 200)):
+        with pytest.raises(ValueError, match="seed must lie in"):
+            R.key_from_seed(seed)
+    for seed in ((1 << 127) - 1, -(1 << 127)):  # the ends of the range
+        assert R.key_from_seed(seed) == reference_key_from_seed(seed)
