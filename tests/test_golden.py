@@ -1,7 +1,11 @@
-"""Golden digests: each algorithm's run files at a tiny configuration.
+"""Golden digests: each algorithm's run files at a tiny configuration and
+at the paper's size.
 
-Every case trains 3 cycles into one directory and resumes the saved run
-into a fresh directory for the remaining 2 cycles of its budget. The
+Every tiny case trains 3 cycles into one directory and resumes the saved run
+into a fresh directory for the remaining 2 cycles of its budget. Every
+paper-size case trains 4 cycles of the default config (13x13, T = 256,
+N = 32, hidden 32) into one directory, which pins B = 8,192 products, the
+13x13 canvas, the 5x5 view and the 169-action adversary. The
 SHA-256 of every file written is pinned, so a refactor that changes any
 number, any metrics line or any checkpoint byte fails here. On a mismatch
 the assertion message lists the observed digests and the platform: the
@@ -22,6 +26,7 @@ from ued_forge.rl_core import PpoConfig
 from ued_forge.ued import UedConfig, resume_run, steps_per_cycle, train
 
 SEED = 1
+PAPER_SEED = 2
 
 GOLDEN = {
     "accel": {
@@ -134,6 +139,62 @@ GOLDEN = {
     },
 }
 
+# The default (paper-size) config trained for 4 cycles into one directory.
+# At PAPER_SEED, plr runs new, replay, replay, new and accel runs new,
+# replay, mutate, new, so replay and mutation both train on B = 8,192.
+PAPER_GOLDEN = {
+    "accel": {
+        "buffer.txt":
+            "f3266701cc6d448c663c4c70270fca62fa117e1cea4de6c023e1cf0a3d9f5b65",
+        "metrics.jsonl":
+            "d442f8d0ac7d6354d7c56dbb9b6677912044d90556ed4c8d09057193cc4ab440",
+        "params.bin":
+            "616cebe0567edbbdfd3b23393e322b28a35a87dd997602f30bb0279bc5814112",
+        "state.json":
+            "641605e6cdc67819f689aaa03779b45e77a03f945f7993aa1807518568de65b5",
+    },
+    "dr": {
+        "metrics.jsonl":
+            "d4880566f3f626ddd89b8230271c5789e34c4d38652ac2dc94d8494cc1829a40",
+        "params.bin":
+            "d0e425651e862f3d0988c88fce3595297fc25399d50015b64b27678f139988d7",
+        "state.json":
+            "cb33d9085b0ff879313d97ad78d728783ac379b0b17868a905c43fba4299511e",
+    },
+    "paired": {
+        "adversary.bin":
+            "dc20aacf09a207e8cf6c3d23ddf2a4d702f609b4384a722cb7952d88472aff38",
+        "antagonist.bin":
+            "0f92f225ff8b7c18df7c0e75f5cf86fa7edd87c97d713076d54442756c503597",
+        "metrics.jsonl":
+            "b5fd600d381f6bae1b31856bbdbaf727c7fcfe440018dc902b31179c9c9962d2",
+        "params.bin":
+            "943f6985512a076a48e83f6dbe2ad4c555caf0797e7843746bd7007fb40ae5e4",
+        "state.json":
+            "80236c46ca0de345ac69b858d03c4fae5ca88e2683c3654ab5011a3bae50e40c",
+    },
+    "plr": {
+        "buffer.txt":
+            "b588727ac32d8112489bfe9c9c42f3827f965423c7be0e6416b8a6de14c99dfe",
+        "metrics.jsonl":
+            "a0c001e051430c53e89bb616a31d56cf6109b1b8da88b1f83fe8531891dc6e40",
+        "params.bin":
+            "220e02fa4329c63f1835bf6d9a8c87adec099a3a5e275c5d8b2db1819625921b",
+        "state.json":
+            "abf9e34be56e26a43c064f18dd0588c1ec1f604e359f437fba6fb84934c2e2a3",
+    },
+    "plr_robust": {
+        "buffer.txt":
+            "7076039dacb1ca6833552b2901d9bbd692ab87299ea5aa07dc29102121402ebf",
+        "metrics.jsonl":
+            "73c498a3d315196d0f25c4fe6d851487de21d24ded18e159afc835de0e810cca",
+        "params.bin":
+            "825a134a092a864b7731ed8842c869e2ec44633635e85f7ab8214d404ef6ddec",
+        "state.json":
+            "a9ae22c41d5be62bdc6bb6fe9690803ee4b311e36c2822395293e19d3f0552fd",
+    },
+}
+
 
 def golden_config(case: str) -> UedConfig:
     kw = dict(
@@ -147,11 +208,11 @@ def golden_config(case: str) -> UedConfig:
     return UedConfig(**kw, total_env_steps=5 * steps_per_cycle(cfg))
 
 
-def _digests(out_dir, tag) -> dict:
+def _digests(out_dir, prefix="") -> dict:
     out = {}
     for name in sorted(os.listdir(out_dir)):
         with open(os.path.join(out_dir, name), "rb") as fh:
-            out[f"{tag}/{name}"] = hashlib.sha256(fh.read()).hexdigest()
+            out[prefix + name] = hashlib.sha256(fh.read()).hexdigest()
     return out
 
 
@@ -160,7 +221,7 @@ def run_case(case: str, root) -> dict:
     part, rest = os.path.join(root, "part"), os.path.join(root, "rest")
     train(cfg, seed=SEED, out_dir=part, max_cycles=3)
     resume_run(os.path.join(part, "state.json"), out_dir=rest)
-    return {**_digests(part, "part"), **_digests(rest, "rest")}
+    return {**_digests(part, "part/"), **_digests(rest, "rest/")}
 
 
 def platform() -> str:
@@ -185,4 +246,18 @@ def platform() -> str:
 def test_golden_digests(tmp_path, case):
     got = run_case(case, str(tmp_path))
     assert got == GOLDEN[case], (
+        f"on {platform()}:\n" + json.dumps(got, indent=4, sort_keys=True))
+
+
+def paper_config(algorithm: str) -> UedConfig:
+    """The default config, with the buffer counted full enough to replay
+    after one cycle's 32 levels."""
+    return UedConfig(algorithm=algorithm, min_fill_ratio=32 / 4000)
+
+
+@pytest.mark.parametrize("algorithm", sorted(PAPER_GOLDEN))
+def test_paper_size_golden_digests(tmp_path, algorithm):
+    train(paper_config(algorithm), seed=PAPER_SEED, out_dir=str(tmp_path), max_cycles=4)
+    got = _digests(str(tmp_path))
+    assert got == PAPER_GOLDEN[algorithm], (
         f"on {platform()}:\n" + json.dumps(got, indent=4, sort_keys=True))
