@@ -43,11 +43,11 @@ print("start is", dist[level.agent_pos], "moves from the goal")
 # the oracle picks left/right/forward from the distance field; follow it
 env = MazeEnv(max_steps=50, view_size=5)
 rng = generator(key_from_seed(0))
-state, obs = env.reset_to_level(level, rng)
+state = env.reset_to_level(level, rng)
 total, steps = 0.0, 0
 while True:
     action = greedy_oracle_action(dist, state.agent_pos, state.agent_dir)
-    state, obs, reward, done = env.step(state, action, rng)
+    state, reward, done = env.step(state, action, rng)
     total += reward
     steps += 1
     if done:
@@ -55,8 +55,9 @@ while True:
 print(f"oracle finished in {steps} steps, return {total:.3f}")
 
 # observations are egocentric: a view_size x view_size window of one-hot
-# cell classes plus a 4-long extra vector (direction one-hot)
-image, extra = env.encode_observation(obs)
+# cell classes plus a 4-long extra vector (direction one-hot), computed
+# from a state when asked for
+image, extra = env.encode_observation(env.observe(state))
 print("observation image", image.shape, "extras", extra)
 
 # random level generation draws wall count, then wall cells, then the rest

@@ -6,8 +6,8 @@ levels entirely to the caller (a training algorithm, an evaluation loop, a
 curriculum). ``step`` and ``reset_to_level`` are pure given an explicit RNG
 state: calling them with equal inputs and generators at equal state yields
 identical outputs, which is what makes batched rollouts reproducible
-regardless of how they are parallelized. An observation is ``observe(state)``,
-so a caller that keeps states needs no observations beside them.
+regardless of how they are parallelized. Both take and return states only:
+an observation is ``observe(state)``, computed when a caller asks for it.
 
 Fixed-length rollouts need episodes to restart mid-rollout, so two wrappers
 are provided:
@@ -18,7 +18,7 @@ are provided:
 
 Both follow the terminal-transition convention: when the inner episode ends,
 the returned ``StepResult`` carries the *terminal* reward and ``done=True``
-together with the *post-reset* state and observation, so no terminal reward
+together with the *post-reset* state, so no terminal reward
 is ever lost inside a fixed-length rollout and value bootstrapping can key
 off the done flag alone.
 
@@ -42,7 +42,6 @@ class EnvError(Exception):
 
 class StepResult(NamedTuple):
     state: Any
-    observation: Any
     reward: float
     done: bool
 
@@ -52,8 +51,8 @@ class UnderspecifiedEnv(ABC):
 
     Implementations must be pure: no internal mutable state, all randomness
     drawn from the generator passed in. ``num_actions`` is the size of the
-    discrete action space; levels are opaque to this interface. The
-    observation ``reset_to_level`` and ``step`` return is ``observe(state)``.
+    discrete action space; levels are opaque to this interface.
+    Observations come only from ``observe(state)``.
     """
 
     @property
@@ -61,15 +60,12 @@ class UnderspecifiedEnv(ABC):
     def num_actions(self) -> int: ...
 
     @abstractmethod
-    def reset_to_level(
-        self, level: Any, rng: np.random.Generator
-    ) -> tuple[Any, Any]:
-        """Initial (state, observation) for the episode induced by ``level``."""
+    def reset_to_level(self, level: Any, rng: np.random.Generator) -> Any:
+        """Initial state of the episode induced by ``level``."""
 
     @abstractmethod
-    def step(
-        self, state: Any, action: int, rng: np.random.Generator
-    ) -> StepResult: ...
+    def step(self, state: Any, action: int, rng: np.random.Generator) -> StepResult:
+        """(next state, reward, done) after ``action`` in ``state``."""
 
     @abstractmethod
     def observe(self, state: Any) -> Any: ...
@@ -138,8 +134,7 @@ class _LevelResetWrapper(UnderspecifiedEnv):
         return self.env.num_actions
 
     def reset_to_level(self, level, rng):
-        state, obs = self.env.reset_to_level(level, rng)
-        return WrappedState(inner=state, level=level), obs
+        return WrappedState(inner=self.env.reset_to_level(level, rng), level=level)
 
     def observe(self, state: WrappedState):
         return self.env.observe(state.inner)
@@ -155,19 +150,13 @@ class _LevelResetWrapper(UnderspecifiedEnv):
               next_level: Callable[[np.random.Generator], Any]) -> StepResult:
         """Step the inner env; when its episode ends, keep the terminal
         reward and reset to ``next_level(rng)``."""
-        inner_res = self.env.step(state.inner, action, rng)
-        if not inner_res.done:
-            return StepResult(
-                WrappedState(inner=inner_res.state, level=state.level),
-                inner_res.observation,
-                inner_res.reward,
-                False,
-            )
-        level = next_level(rng)
-        fresh_state, fresh_obs = self.env.reset_to_level(level, rng)
-        return StepResult(
-            WrappedState(inner=fresh_state, level=level), fresh_obs, inner_res.reward, True
-        )
+        inner, reward, done = self.env.step(state.inner, action, rng)
+        if done:
+            level = next_level(rng)
+            inner = self.env.reset_to_level(level, rng)
+        else:
+            level = state.level
+        return StepResult(WrappedState(inner=inner, level=level), reward, done)
 
 
 class AutoReplayWrapper(_LevelResetWrapper):

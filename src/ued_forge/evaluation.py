@@ -6,7 +6,7 @@ plain mean and the interquartile mean (mean of the middle half, with
 floor(n/4) values dropped from each end).
 
 Policies are callables ``action = policy(state, observation, rng)``. Episodes
-step with ``MazeEnv.move`` and share each level's read-only observations. The
+step with ``MazeEnv.step`` and share each level's read-only observations. The
 network policy acts greedily by default (argmax logits, lowest index on ties)
 or samples when asked, from logits computed once per distinct observation of
 the current level (exact: the net is read-only and has no memory); the oracle
@@ -142,14 +142,14 @@ class EvalReport:
 
 def _play(env: MazeEnv, policy, level: MazeLevel, rng: np.random.Generator, memo: dict):
     """:func:`run_episode` with one level's observations in ``memo``, read-only."""
-    state, _ = env.reset_to_level(level, rng)
+    state = env.reset_to_level(level, rng)
     total = 0.0
     while True:
         obs = memo.get((state.agent_pos, state.agent_dir))
         if obs is None:
             obs = memo[state.agent_pos, state.agent_dir] = env.observe(state)
             obs.view.setflags(write=False)
-        state, reward, done = env.move(state, policy(state, obs, rng))
+        state, reward, done = env.step(state, policy(state, obs, rng))
         total += float(reward)
         if done:
             return total, bool(reward > 0)

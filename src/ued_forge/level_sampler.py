@@ -24,6 +24,7 @@ write/read/write round trip.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -114,12 +115,15 @@ def sample_levels(
 
 
 def _checked(n, what, scores, extras):
-    """Finite float64 scores and an extras list, both of length ``n``."""
+    """Finite float64 scores and an extras list of finite values, both of
+    length ``n``."""
     scores = np.asarray(scores, dtype=np.float64)
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
     if extras is None:
         extras = [{}] * n
+    if not all(math.isfinite(v) for extra in extras for v in extra.values()):
+        raise ValueError("extras must be finite")
     if not n == len(scores) == len(extras):
         raise BufferError(
             f"length mismatch: {n} {what}, {len(scores)} scores, {len(extras)} extras"
@@ -276,7 +280,11 @@ def _parse_buffer(text: str) -> LevelBuffer:
             parts = expect(i, "extra ").split()
             if len(parts) != 2:
                 raise BufferError(f"bad extra line at line {i + 1}")
+            if parts[0] in extra:
+                raise BufferError(f"repeated extra {parts[0]!r} at line {i + 1}")
             extra[parts[0]] = float(parts[1])
+            if not math.isfinite(extra[parts[0]]):
+                raise BufferError(f"non-finite extra at line {i + 1}")
             i += 1
         extras.append(extra)
         start = i

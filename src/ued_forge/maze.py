@@ -22,7 +22,9 @@ direction points up, with the agent on the middle column of the rear row,
 plus the absolute direction. This is a self-contained stand-in for the
 classic gridworld encoding; exactly one channel is active per cell. A view
 is one gather from the level's class grid, which is framed by enough wall
-cells that no read needs a bounds check.
+cells that no read needs a bounds check. ``reset_to_level`` and ``step``
+return states only; an observation is ``observe(state)``, or a batch's
+``encode()``.
 
 :class:`MazeBatch` is the array form of :class:`MazeEnv` that rollouts step:
 N episodes as flat arrays (one-hot canvas, agent cell, direction, timestep,
@@ -73,8 +75,11 @@ UNREACHABLE = -1
 
 AGENT_CHARS = "^>v<"
 
+# One-hot tables; read-only, because encode_observation hands out their rows.
 _EYE3 = np.eye(3, dtype=np.float32)
 _EYE4 = np.eye(4, dtype=np.float32)
+_EYE3.setflags(write=False)
+_EYE4.setflags(write=False)
 
 
 class LevelError(EnvError):
@@ -215,20 +220,9 @@ class MazeEnv(UnderspecifiedEnv):
 
     def reset_to_level(self, level: MazeLevel, rng=None):
         validate_level(level)
-        state = MazeState(
-            level=level,
-            agent_pos=level.agent_pos,
-            agent_dir=level.agent_dir,
-            timestep=0,
-        )
-        return state, self.observe(state)
+        return MazeState(level, level.agent_pos, level.agent_dir, 0)
 
     def step(self, state: MazeState, action: int, rng=None) -> StepResult:
-        new_state, reward, done = self.move(state, action)
-        return StepResult(new_state, self.observe(new_state), reward, done)
-
-    def move(self, state: MazeState, action: int) -> tuple[MazeState, float, bool]:
-        """:meth:`step` without the observation: (next state, reward, done)."""
         if not 0 <= action < 3:
             raise EnvError(f"invalid maze action {action}")
         if state.timestep >= self.max_steps or state.agent_pos == state.level.goal_pos:
@@ -247,12 +241,8 @@ class MazeEnv(UnderspecifiedEnv):
         t = state.timestep + 1
         new_state = MazeState(state.level, pos, d, t)
         if pos == state.level.goal_pos:
-            reward, done = 1.0 - 0.9 * (t / self.max_steps), True
-        elif t >= self.max_steps:
-            reward, done = 0.0, True
-        else:
-            reward, done = 0.0, False
-        return new_state, reward, done
+            return StepResult(new_state, 1.0 - 0.9 * (t / self.max_steps), True)
+        return StepResult(new_state, 0.0, t >= self.max_steps)
 
     def observe(self, state: MazeState) -> MazeObservation:
         b = self.border
@@ -554,8 +544,8 @@ class MazeEditorEnv(UnderspecifiedEnv):
 
     def reset_to_level(self, level: MazeLevel, rng=None):
         validate_level(level)
-        state = EditorState(level=level, edit_index=0, budget=self.wall_budget)
-        return state, self.observe(state)
+        self._check_canvas(level)
+        return EditorState(level=level, edit_index=0, budget=self.wall_budget)
 
     def step(self, state: EditorState, action: int, rng: np.random.Generator):
         if not 0 <= action < self.num_actions:
@@ -563,6 +553,7 @@ class MazeEditorEnv(UnderspecifiedEnv):
         if state.edit_index >= state.budget + 2:
             raise EnvError("editor episode already complete")
         level = state.level
+        self._check_canvas(level)
         w = level.width
         target = (action // w, action % w)
         if state.edit_index < 2:
@@ -582,8 +573,12 @@ class MazeEditorEnv(UnderspecifiedEnv):
         new_state = EditorState(
             level=level, edit_index=state.edit_index + 1, budget=state.budget
         )
-        done = new_state.edit_index >= state.budget + 2
-        return StepResult(new_state, self.observe(new_state), 0.0, done)
+        return StepResult(new_state, 0.0, new_state.edit_index >= state.budget + 2)
+
+    def _check_canvas(self, level: MazeLevel) -> None:
+        if (level.width, level.height) != (self.width, self.height):
+            raise LevelError(f"canvas is {level.width}x{level.height}, editor is "
+                             f"{self.width}x{self.height}")
 
     def _resample_cell(self, rng: np.random.Generator, exclude: tuple[int, int]):
         n_cells = self.width * self.height
@@ -651,10 +646,8 @@ class MazeEditorBatch:
 
     def set_state(self, e: int, state: EditorState) -> None:
         """Load ``state`` into row ``e``."""
-        level, env = state.level, self.env
-        if (level.width, level.height) != (env.width, env.height):
-            raise LevelError(f"canvas is {level.width}x{level.height}, editor is "
-                             f"{env.width}x{env.height}")
+        level = state.level
+        self.env._check_canvas(level)
         (gr, gc), (ar, ac), w = level.goal_pos, level.agent_pos, level.width
         self.walls[e] = level.walls.ravel()
         self.goal[e], self.agent[e], self.dir[e] = gr * w + gc, ar * w + ac, level.agent_dir

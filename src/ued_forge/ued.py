@@ -364,7 +364,7 @@ def rollout_on_levels(config: UedConfig, env, policies: list, levels, keys: list
     for key in keys:
         k_reset, k_roll = rng_mod.split(key)
         roll_keys.append(k_roll)
-        states += [env.reset_to_level(level, rng_mod.generator(k))[0]
+        states += [env.reset_to_level(level, rng_mod.generator(k))
                    for level, k in zip(levels, rng_mod.split(k_reset, len(levels)))]
     trajs, _ = rollout(env, policies, states, config.ppo.rollout_steps, roll_keys)
     return [(traj, *compute_gae(traj, config.ppo.gamma, config.ppo.gae_lambda))
@@ -571,7 +571,7 @@ def _paired_cycle(config: UedConfig):
         lr = _lr_for_cycle(config, state.cycle)
 
         # Adversary builds one level per env, one edit per step.
-        ed_states = [editor_env.reset_to_level(canvas, None)[0] for _ in range(n)]
+        ed_states = [editor_env.reset_to_level(canvas, None) for _ in range(n)]
         [ed_traj], [ed_states] = rollout(
             editor_env, [state.adversary], ed_states, editor_env.episode_steps, [k_ed]
         )
@@ -665,7 +665,7 @@ def init_run_state(config: UedConfig, master: rng_mod.Key) -> RunState:
         env_states = []
         for k in rng_mod.split(keys[len(nets)], config.ppo.n_envs):
             gen = rng_mod.generator(k)
-            env_states.append(env.reset_to_level(env.level_source(gen), gen)[0])
+            env_states.append(env.reset_to_level(env.level_source(gen), gen))
         return replace(state, env_states=env_states)
     if config.algorithm == "paired":
         return state
@@ -892,7 +892,7 @@ def load_run_state(path) -> dict:
     if config.algorithm == "dr":
         try:
             out["env_states"] = [_maze_state_from_dict(d, config) for d in payload["env_states"]]
-        except (KeyError, TypeError, LevelError) as exc:
+        except (AttributeError, KeyError, TypeError, LevelError) as exc:
             raise UedError(f"bad env state: {exc}") from exc
         if len(out["env_states"]) != config.ppo.n_envs:
             raise UedError(f"run state has {len(out['env_states'])} env states, "

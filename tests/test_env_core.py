@@ -20,16 +20,17 @@ def goal_ahead_level():
 
 
 def test_step_result_unpacks_in_order():
-    r = StepResult("s", "o", 0.5, True)
-    state, obs, reward, done = r
-    assert (state, obs, reward, done) == ("s", "o", 0.5, True)
-    assert r.state == "s" and r.observation == "o"
+    r = StepResult("s", 0.5, True)
+    state, reward, done = r
+    assert (state, reward, done) == ("s", 0.5, True)
+    assert r.state == "s" and r.reward == 0.5 and r.done
+    assert StepResult._fields == ("state", "reward", "done")
 
 
 def test_auto_replay_resets_to_same_level():
     env = AutoReplayWrapper(MazeEnv(max_steps=10))
     level = goal_ahead_level()
-    state, obs = env.reset_to_level(level, None)
+    state = env.reset_to_level(level, None)
     assert state.level == level
     gen = R.generator(R.key_from_seed(0))
     res = env.step(state, 2, gen)  # forward onto the goal
@@ -40,16 +41,17 @@ def test_auto_replay_resets_to_same_level():
     assert res.state.inner.timestep == 0
     assert res.state.inner.agent_pos == level.agent_pos
     assert res.state.inner.agent_dir == level.agent_dir
-    # and the observation belongs to the reset state, not the terminal one
-    _, fresh_obs = env.reset_to_level(level, None)
-    assert np.array_equal(res.observation.view, fresh_obs.view)
-    assert res.observation.direction == fresh_obs.direction
+    # so its observation is the reset state's, not the terminal one's
+    obs = env.observe(res.state)
+    fresh_obs = env.observe(env.reset_to_level(level, None))
+    assert np.array_equal(obs.view, fresh_obs.view)
+    assert obs.direction == fresh_obs.direction
 
 
 def test_auto_replay_passthrough_before_done():
     env = AutoReplayWrapper(MazeEnv(max_steps=10))
     level = goal_ahead_level()
-    state, _ = env.reset_to_level(level, None)
+    state = env.reset_to_level(level, None)
     res = env.step(state, 0, R.generator(1))  # turn, not done
     assert not res.done
     assert res.reward == 0.0
@@ -63,7 +65,7 @@ def test_auto_reset_draws_new_level():
 
     env = AutoResetWrapper(MazeEnv(max_steps=10), source)
     level = goal_ahead_level()
-    state, _ = env.reset_to_level(level, None)
+    state = env.reset_to_level(level, None)
     gen = R.generator(R.key_from_seed(4))
     probe = R.generator(R.key_from_seed(4))
     res = env.step(state, 2, gen)
@@ -79,7 +81,7 @@ def test_auto_reset_timeout_also_resets():
 
     env = AutoResetWrapper(MazeEnv(max_steps=2), source)
     level = parse_level("v..\n...\nG..\n")  # goal two ahead, timeout at 2
-    state, _ = env.reset_to_level(level, None)
+    state = env.reset_to_level(level, None)
     gen = R.generator(R.key_from_seed(8))
     res = env.step(state, 0, gen)
     assert not res.done
@@ -94,7 +96,7 @@ def test_wrappers_delegate_actions_and_encoding():
     wrapped = AutoReplayWrapper(base)
     assert wrapped.num_actions == base.num_actions
     level = goal_ahead_level()
-    _, obs = wrapped.reset_to_level(level, None)
+    obs = wrapped.observe(wrapped.reset_to_level(level, None))
     img, extra = wrapped.encode_observation(obs)
     assert img.shape == (5, 5, 3)
     assert extra.shape == (4,)

@@ -104,7 +104,8 @@ def test_greedy_policy_ignores_rng():
 def test_sampled_policy_uses_rng():
     env = MazeEnv(max_steps=30, view_size=5)
     pol = network_policy(student_params(), env, sample=True)
-    state, obs = env.reset_to_level(STRAIGHT, R.generator(1))
+    state = env.reset_to_level(STRAIGHT, R.generator(1))
+    obs = env.observe(state)
     gen = R.generator(7)
     actions = {pol(state, obs, gen) for _ in range(50)}
     assert len(actions) > 1  # near-uniform net: all actions show up
@@ -118,7 +119,8 @@ def test_sampled_policy_matches_numpy_inverse_cdf():
     for scale in (1.0, 300.0):
         params = scaled(student_params(3), np.float32(scale))
         pol = network_policy(params, env, sample=True)
-        state, obs = env.reset_to_level(STRAIGHT, R.generator(1))
+        state = env.reset_to_level(STRAIGHT, R.generator(1))
+        obs = env.observe(state)
         image, extra = env.encode_observation(obs)
         logits, _ = forward(params, _features(image[None], extra[None], np.float32))
         cdf = np.cumsum(np.exp(log_softmax(logits.astype(np.float64))[0]))
@@ -305,7 +307,8 @@ def test_bisect_right_matches_searchsorted_with_zero_probability_actions():
     # (here CDF [0, 1, 1]), with uniforms that include an exact 0.
     env = MazeEnv(max_steps=30, view_size=5)
     params = scaled(student_params(0), np.float32(1e5))
-    state, obs = env.reset_to_level(STRAIGHT, R.generator(1))
+    state = env.reset_to_level(STRAIGHT, R.generator(1))
+    obs = env.observe(state)
     image, extra = env.encode_observation(obs)
     logits, _ = forward(params, _features(image[None], extra[None], np.float32))
     cdf = np.cumsum(np.exp(log_softmax(logits.astype(np.float64))[0]))
@@ -323,13 +326,13 @@ def test_bisect_right_matches_searchsorted_with_zero_probability_actions():
 # ---------------------------------------------------------------------------
 
 def reference_run_episode(env, policy, level, rng):
-    """``run_episode`` before the observation memo: ``env.step`` observes
-    every state it returns."""
-    state, obs = env.reset_to_level(level, rng)
+    """``run_episode`` before the observation memo: every state it acts in
+    is observed afresh."""
+    state = env.reset_to_level(level, rng)
     total = 0.0
     while True:
-        action = policy(state, obs, rng)
-        state, obs, reward, done = env.step(state, action, rng)
+        action = policy(state, env.observe(state), rng)
+        state, reward, done = env.step(state, action, rng)
         total += float(reward)
         if done:
             return total, bool(reward > 0)
@@ -449,7 +452,9 @@ def test_observe_runs_once_per_distinct_position_of_a_level(monkeypatch, sample)
 
     def counted_reset(self, level, rng=None):
         events.append(("reset", level))
-        return reset(self, level, rng)
+        state = reset(self, level, rng)
+        assert events[-1] == ("reset", level)  # a reset observes nothing
+        return state
 
     monkeypatch.setattr(MazeEnv, "observe", counted_observe)
     monkeypatch.setattr(MazeEnv, "reset_to_level", counted_reset)
@@ -458,16 +463,12 @@ def test_observe_runs_once_per_distinct_position_of_a_level(monkeypatch, sample)
     episodes, steps = 3, []
     evaluate(env, recording(network_policy(student_params(), env, sample), env, steps),
              [a, b, a], episodes=episodes, key=R.key_from_seed(2))
-    visits = []  # per run of events on one level: resets and non-reset observations
-    after_reset = False
+    visits = []  # per run of events on one level: resets and observations
     for kind, level, *at in events:
         if not visits or visits[-1][0] is not level:
             visits.append((level, [0], []))
         if kind == "reset":
             visits[-1][1][0] += 1
-            after_reset = True
-        elif after_reset:  # the observation reset_to_level makes
-            after_reset = False
         else:
             visits[-1][2].append(at[0])
     assert [level for level, _, _ in visits] == [a, b, a]

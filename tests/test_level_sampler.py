@@ -431,6 +431,11 @@ def with_first_entry_twice(text):
         # One level in two entries, which once loaded and then made the next
         # insert that evicted both raise a bare KeyError.
         with_first_entry_twice,
+        # A non-finite extra, which once loaded and then failed the first
+        # replay; a repeated one, which once loaded as one.
+        lambda t: re.sub(r"extra max_return \S+", "extra max_return nan", t, count=1),
+        lambda t: re.sub(r"extra max_return \S+", "extra max_return -inf", t, count=1),
+        lambda t: re.sub(r"extras 1\nextra (.*)", r"extras 2\nextra \1\nextra \1", t, count=1),
     ],
 )
 def test_buffer_from_text_rejects_malformed(mangle):
@@ -439,12 +444,17 @@ def test_buffer_from_text_rejects_malformed(mangle):
         buffer_from_text(mangle(buffer_to_text(buf)))
 
 
-def test_buffer_round_trip_non_finite_extras():
-    # insert_batch accepts any extra value, so the text format must too.
+def test_inserts_and_updates_reject_non_finite_extras():
+    # The reader rejects a non-finite extra (a replay's maxmc score from it
+    # would be non-finite), so no buffer may hold one.
     lv = levels_n(R.key_from_seed(26), 3)
-    extras = [{"max_return": np.nan}, {"max_return": np.inf}, {"max_return": -np.inf}]
-    text = buffer_to_text(insert_batch(new_buffer(3), lv, [1.0, 2.0, 3.0], extras))
-    assert buffer_to_text(buffer_from_text(text)) == text
+    buf = insert_batch(new_buffer(3), lv, [1.0, 2.0, 3.0], [{"max_return": 0.5}] * 3)
+    for value in (np.nan, np.inf, -np.inf):
+        extras = [{"max_return": 0.5}, {"max_return": value}, {}]
+        with pytest.raises(ValueError, match="extras must be finite"):
+            insert_batch(new_buffer(3), lv, [1.0, 2.0, 3.0], extras)
+        with pytest.raises(ValueError, match="extras must be finite"):
+            update_batch(buf, [1], [1.0], [{"max_return": value}])
 
 
 @pytest.mark.parametrize(

@@ -82,7 +82,8 @@ def reference_view(level, agent_pos, agent_dir, view_size):
 def test_observation_hand_case_facing_up():
     level = parse_level("#..\n.^.\n..G\n")
     env = MazeEnv(view_size=5)
-    state, obs = env.reset_to_level(level, None)
+    state = env.reset_to_level(level, None)
+    obs = env.observe(state)
     assert obs.direction == UP
     # agent at view (4, 2); wall (0,0) is one step forward, one left -> (3, 1)
     assert obs.view[4, 2, CH_EMPTY] == 1.0
@@ -97,7 +98,7 @@ def test_observation_hand_case_facing_up():
 def test_observation_hand_case_facing_right():
     level = parse_level("#..\n.>.\n..G\n")
     env = MazeEnv(view_size=5)
-    _, obs = env.reset_to_level(level, None)
+    obs = env.observe(env.reset_to_level(level, None))
     assert obs.direction == RIGHT
     # goal (2,2): one forward step, one right step -> view (3, 3)
     assert obs.view[3, 3, CH_GOAL] == 1.0
@@ -109,17 +110,30 @@ def test_observation_matches_reference_on_fuzzed_levels():
     env = MazeEnv(view_size=5)
     for i in range(80):
         level = rand_level(R.fold_in(R.key_from_seed(21), i), 7, 6, 12)
-        state, obs = env.reset_to_level(level, None)
+        state = env.reset_to_level(level, None)
+        obs = env.observe(state)
         expected = reference_view(level, level.agent_pos, level.agent_dir, 5)
         assert np.array_equal(obs.view, expected), f"level {i}"
         assert obs.direction == level.agent_dir
+
+
+def test_encoded_observation_tables_are_read_only():
+    # A write into the extras once changed every later encoding of that
+    # direction, MazeBatch.encode included.
+    env = MazeEnv(view_size=3)
+    state = env.reset_to_level(parse_level(">.G\n"), None)
+    _, extra = env.encode_observation(env.observe(state))
+    with pytest.raises(ValueError, match="read-only"):
+        extra[:] = 7
+    _, extras = env.batch([state]).encode()
+    assert extras.tolist() == [[0.0, 1.0, 0.0, 0.0]]
 
 
 def test_observation_one_hot_partition():
     env = MazeEnv()
     for i in range(20):
         level = rand_level(R.fold_in(R.key_from_seed(33), i))
-        _, obs = env.reset_to_level(level, None)
+        obs = env.observe(env.reset_to_level(level, None))
         assert np.array_equal(
             obs.view.sum(axis=2), np.ones((5, 5), dtype=np.float32)
         )
@@ -132,7 +146,7 @@ def test_observation_one_hot_partition():
 def test_rotation_actions():
     level = parse_level("...\n.^.\n..G\n")
     env = MazeEnv()
-    state, _ = env.reset_to_level(level, None)
+    state = env.reset_to_level(level, None)
     s_left = env.step(state, A_LEFT, None).state
     assert s_left.agent_dir == LEFT and s_left.agent_pos == (1, 1)
     s_right = env.step(state, A_RIGHT, None).state
@@ -147,12 +161,12 @@ def test_rotation_actions():
 def test_forward_blocked_by_wall_and_border():
     env = MazeEnv()
     level = parse_level("#..\n^..\n..G\n")
-    state, _ = env.reset_to_level(level, None)
+    state = env.reset_to_level(level, None)
     res = env.step(state, A_FORWARD, None)  # wall ahead
     assert res.state.agent_pos == (1, 0)
     assert res.state.timestep == 1  # the step still costs time
     level2 = parse_level("<..\n...\n..G\n")
-    state2, _ = env.reset_to_level(level2, None)
+    state2 = env.reset_to_level(level2, None)
     res2 = env.step(state2, A_FORWARD, None)  # border ahead
     assert res2.state.agent_pos == (0, 0)
 
@@ -160,12 +174,12 @@ def test_forward_blocked_by_wall_and_border():
 def test_goal_reward_formula():
     level = parse_level("v..\nG..\n...\n")
     env = MazeEnv(max_steps=250)
-    state, _ = env.reset_to_level(level, None)
+    state = env.reset_to_level(level, None)
     res = env.step(state, A_FORWARD, None)
     assert res.done
     assert res.reward == pytest.approx(1.0 - 0.9 * (1 / 250), abs=0)
     # with a detour the timestep grows and the reward shrinks
-    state, _ = env.reset_to_level(level, None)
+    state = env.reset_to_level(level, None)
     mid = env.step(state, A_LEFT, None)
     mid = env.step(mid.state, A_RIGHT, None)
     res2 = env.step(mid.state, A_FORWARD, None)
@@ -177,7 +191,7 @@ def test_goal_reward_formula():
 def test_timeout_gives_zero_reward():
     level = parse_level("^..\n...\nG..\n")
     env = MazeEnv(max_steps=3)
-    state, _ = env.reset_to_level(level, None)
+    state = env.reset_to_level(level, None)
     for i in range(3):
         res = env.step(state, A_LEFT, None)
         state = res.state
@@ -188,7 +202,7 @@ def test_timeout_gives_zero_reward():
 def test_step_after_done_raises():
     level = parse_level("v..\nG..\n...\n")
     env = MazeEnv(max_steps=5)
-    state, _ = env.reset_to_level(level, None)
+    state = env.reset_to_level(level, None)
     res = env.step(state, A_FORWARD, None)
     assert res.done
     with pytest.raises(EnvError):
@@ -199,7 +213,7 @@ def test_reaching_goal_exactly_at_horizon_still_pays():
     # goal reached on the final allowed step: goal reward wins over timeout
     level = parse_level("v..\nG..\n...\n")
     env = MazeEnv(max_steps=1)
-    state, _ = env.reset_to_level(level, None)
+    state = env.reset_to_level(level, None)
     res = env.step(state, A_FORWARD, None)
     assert res.done
     assert res.reward == pytest.approx(1.0 - 0.9 * (1 / 1), abs=0)
@@ -208,7 +222,7 @@ def test_reaching_goal_exactly_at_horizon_still_pays():
 def test_invalid_action_raises():
     env = MazeEnv()
     level = parse_level("^.G\n...\n...\n")
-    state, _ = env.reset_to_level(level, None)
+    state = env.reset_to_level(level, None)
     with pytest.raises(EnvError):
         env.step(state, 3, None)
 
@@ -272,7 +286,7 @@ def test_oracle_reaches_goal_in_optimal_forward_moves():
         if dist[level.agent_pos] < 1:
             continue
         checked += 1
-        state, _ = env.reset_to_level(level, None)
+        state = env.reset_to_level(level, None)
         forwards = 0
         while True:
             a = greedy_oracle_action(dist, state.agent_pos, state.agent_dir)
@@ -545,7 +559,8 @@ def test_editor_episode_structure():
     env = MazeEditorEnv(width=5, height=5, wall_budget=3)
     assert env.num_actions == 25
     assert env.episode_steps == 5
-    state, obs = env.reset_to_level(empty_level(5, 5), None)
+    state = env.reset_to_level(empty_level(5, 5), None)
+    obs = env.observe(state)
     assert obs.grid.shape == (5, 5, 4)
     assert obs.progress == 0.0
     gen = R.generator(R.key_from_seed(15))
@@ -562,7 +577,7 @@ def test_editor_episode_structure():
 
 def test_editor_goal_then_agent_then_walls():
     env = MazeEditorEnv(width=4, height=4, wall_budget=2)
-    state, _ = env.reset_to_level(empty_level(4, 4), None)
+    state = env.reset_to_level(empty_level(4, 4), None)
     gen = R.generator(R.key_from_seed(16))
     res = env.step(state, 5, gen)  # goal to (1,1)
     assert res.state.level.goal_pos == (1, 1)
@@ -578,7 +593,7 @@ def test_editor_goal_then_agent_then_walls():
 def test_editor_placement_clears_wall_and_collisions_resample():
     env = MazeEditorEnv(width=4, height=4, wall_budget=2)
     canvas = parse_level("#..G\n....\n....\n^...\n")
-    state, _ = env.reset_to_level(canvas, None)
+    state = env.reset_to_level(canvas, None)
     gen = R.generator(R.key_from_seed(17))
     res = env.step(state, 0, gen)  # goal onto the wall cell clears it
     assert res.state.level.goal_pos == (0, 0)
@@ -595,7 +610,8 @@ def test_editor_placement_clears_wall_and_collisions_resample():
 def test_editor_observation_classes_and_progress():
     env = MazeEditorEnv(width=4, height=4, wall_budget=2)
     canvas = parse_level("#..G\n....\n....\n^...\n")
-    state, obs = env.reset_to_level(canvas, None)
+    state = env.reset_to_level(canvas, None)
+    obs = env.observe(state)
     assert obs.grid[0, 0, 1] == 1.0  # wall channel
     assert obs.grid[0, 3, 2] == 1.0  # goal channel
     assert obs.grid[3, 0, 3] == 1.0  # agent channel
@@ -603,7 +619,7 @@ def test_editor_observation_classes_and_progress():
     assert np.array_equal(obs.grid.sum(axis=2), np.ones((4, 4), np.float32))
     gen = R.generator(R.key_from_seed(18))
     res = env.step(state, 6, gen)
-    assert res.observation.progress == pytest.approx(1 / 4)
+    assert env.observe(res.state).progress == pytest.approx(1 / 4)
 
 
 @pytest.mark.parametrize("width, height", [(0, 5), (5, 0), (-1, -2), (1, 1)])

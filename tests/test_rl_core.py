@@ -398,7 +398,7 @@ def fresh_roll_setup(n_envs=4, seed=0):
     env = AutoReplayWrapper(MazeEnv(max_steps=12, view_size=3))
     cfg = NetConfig(image_shape=(3, 3, 3), extra_dim=4, n_actions=3, hidden=8)
     params = init_params(R.generator(R.key_from_seed(seed)), cfg)
-    states = [env.reset_to_level(ROLL_LEVEL, R.generator(k))[0]
+    states = [env.reset_to_level(ROLL_LEVEL, R.generator(k))
               for k in R.split(R.key_from_seed(1000 + seed), n_envs)]
     return env, params, states
 

@@ -36,14 +36,15 @@ FIELDS = ("features", "actions", "log_probs", "values", "rewards", "dones",
           "bootstrap_values")
 
 
-def reference_rollout(env, params, states, observations, n_steps, key):
+def reference_rollout(env, params, states, n_steps, key):
     """The rollout loop with every env stepped through ``env.step`` on its
-    own env stream, and its action uniforms from a separate action stream."""
+    own env stream, its action uniforms from a separate action stream, and
+    each observation from ``env.observe`` of a state."""
     n, cfg = len(states), params.config
     k_act, k_env = R.split(key)
     uniforms = R.generator(k_act).random((n, n_steps))
     gens = [R.generator(k) for k in R.split(k_env, n)]
-    states, observations = list(states), list(observations)
+    states = list(states)
     images = np.zeros((n_steps, n) + tuple(cfg.image_shape), dtype=np.float32)
     extras = np.zeros((n_steps, n, cfg.extra_dim), dtype=np.float32)
     actions = np.zeros((n_steps, n), dtype=np.int64)
@@ -55,8 +56,8 @@ def reference_rollout(env, params, states, observations, n_steps, key):
     def encode():
         img = np.zeros((n,) + tuple(cfg.image_shape), dtype=np.float32)
         ext = np.zeros((n, cfg.extra_dim), dtype=np.float32)
-        for e, obs in enumerate(observations):
-            img[e], ext[e] = env.encode_observation(obs)
+        for e, state in enumerate(states):
+            img[e], ext[e] = env.encode_observation(env.observe(state))
         return img, ext
 
     for t in range(n_steps):
@@ -73,7 +74,7 @@ def reference_rollout(env, params, states, observations, n_steps, key):
         log_probs[t] = logp[np.arange(n), a]
         for e in range(n):
             res = env.step(states[e], int(a[e]), gens[e])
-            states[e], observations[e] = res.state, res.observation
+            states[e] = res.state
             rewards[t, e] = res.reward
             dones[t, e] = res.done
 
@@ -117,7 +118,7 @@ def editor_starts(env, n_steps, gen, wrapped):
 
 
 def case(name, n_steps, seed):
-    """(env, params, starting states, starting observations) for ``name``."""
+    """(env, params, starting states) for ``name``."""
     gen = R.generator(R.key_from_seed(seed + 50))
     maze = MazeEnv(max_steps=MAX_STEPS, view_size=3)
     if name in ("reset", "replay", "per_env"):
@@ -125,7 +126,6 @@ def case(name, n_steps, seed):
                else AutoResetWrapper(maze, mixed_size_level))
         inner = maze_starts(n_steps, gen)
         states = [WrappedState(s, s.level) for s in inner]
-        observations = [maze.observe(s) for s in inner]
         cfg = NetConfig(image_shape=(3, 3, 3), extra_dim=4, n_actions=3, hidden=8)
         if name == "per_env":
             env = PerEnv(env)
@@ -133,11 +133,10 @@ def case(name, n_steps, seed):
         editor = MazeEditorEnv(width=4, height=3, wall_budget=4)
         wrapped = name == "editor_replay"
         inner = editor_starts(editor, n_steps, gen, wrapped)
-        observations = [editor.observe(s) for s in inner]
         env, states = ((AutoReplayWrapper(editor), [WrappedState(s, s.level) for s in inner])
                        if wrapped else (editor, inner))
         cfg = NetConfig(image_shape=(3, 4, 4), extra_dim=1, n_actions=12, hidden=8)
-    return env, init_params(R.generator(R.key_from_seed(seed)), cfg), states, observations
+    return env, init_params(R.generator(R.key_from_seed(seed)), cfg), states
 
 
 @pytest.mark.parametrize("n_steps", [0, 1, 3, 40])
@@ -145,10 +144,10 @@ def case(name, n_steps, seed):
 def test_rollout_matches_scalar_draw_reference(name, n_steps):
     if name == "editor":
         n_steps = min(n_steps, MazeEditorEnv(width=4, height=3, wall_budget=4).episode_steps)
-    env, params, states, observations = case(name, n_steps, seed=n_steps)
+    env, params, states = case(name, n_steps, seed=n_steps)
     key = R.key_from_seed(7 + n_steps)
     [traj], [final] = rollout(env, [params], states, n_steps, [key])
-    want = reference_rollout(env, params, states, observations, n_steps, key)
+    want = reference_rollout(env, params, states, n_steps, key)
     assert_same((traj, final), want)
     if n_steps in (1, 3):  # an unwrapped editor row cannot end at step 0 and go on
         assert want[0].dones[-1].any()
@@ -158,7 +157,7 @@ def test_rollout_matches_scalar_draw_reference(name, n_steps):
 @pytest.mark.parametrize("n_steps", [0, 1, 3, 40])
 @pytest.mark.parametrize("name", ["reset", "editor_replay", "per_env"])
 def test_two_policy_rollout_matches_two_rollouts(name, n_steps):
-    env, p0, states, observations = case(name, n_steps, seed=1)
+    env, p0, states = case(name, n_steps, seed=1)
     p1 = init_params(R.generator(R.key_from_seed(2)), p0.config)
     keys = [R.key_from_seed(3), R.key_from_seed(4)]
     trajs, finals = rollout(env, [p0, p1], states * 2, n_steps, keys)
@@ -167,13 +166,13 @@ def test_two_policy_rollout_matches_two_rollouts(name, n_steps):
         [single], [single_final] = rollout(env, [params], states, n_steps, [key])
         assert_same((traj, final), (single, single_final))
         assert_same((single, single_final),
-                    reference_rollout(env, params, states, observations, n_steps, key))
+                    reference_rollout(env, params, states, n_steps, key))
         # The update reads each group's (F, T, n) block as one (F, T*n) matrix.
         assert traj.features.flags.c_contiguous and traj.actions.flags.c_contiguous
 
 
 def test_rollout_rejects_unequal_groups():
-    env, params, states, _ = case("replay", 3, seed=0)
+    env, params, states = case("replay", 3, seed=0)
     with pytest.raises(ValueError, match="group"):
         rollout(env, [params, params], states[:5], 3, [1, 2])
     with pytest.raises(ValueError, match="group"):

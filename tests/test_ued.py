@@ -5,6 +5,7 @@ import base64
 import collections
 import json
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -604,11 +605,14 @@ def _first_env_state(change):
         _first_env_state(_agent_on_goal),
         _first_env_state(lambda d: {"level": "^.G\n"}),
         _first_env_state(lambda d: {"agent_dir": "up"}),
+        _first_env_state(lambda d: {"level": 5}),
+        _first_env_state(lambda d: {"inner_level": None}),
         lambda payload: {**payload, "env_states": payload["env_states"][1:]},
         lambda payload: {k: v for k, v in payload.items() if k != "env_states"},
     ],
     ids=["json_list", "agent_dir_7", "timestep_500", "agent_pos_99", "agent_on_wall",
-         "agent_on_goal", "level_size", "agent_dir_str", "env_count", "no_env_states"],
+         "agent_on_goal", "level_size", "agent_dir_str", "level_int", "inner_level_null",
+         "env_count", "no_env_states"],
 )
 def test_load_run_state_rejects_bad_env_states(tmp_path, mangle):
     train(tiny_config(), seed=3, out_dir=str(tmp_path / "run"), max_cycles=1)
@@ -687,6 +691,24 @@ def test_load_run_state_rejects_bad_fields(tmp_path, algorithm, change):
     bad.write_text(json.dumps({**payload, **update}))
     with pytest.raises(UedError):
         load_run_state(bad)
+
+
+@pytest.mark.parametrize("extra", ["extra max_return nan", "extra max_return inf",
+                                   "extra max_return 0.5\nextra max_return 0.25"],
+                         ids=["nan", "inf", "repeated"])
+def test_resume_rejects_bad_buffer_extras(tmp_path, extra):
+    # A non-finite extra once loaded and failed at the first replay with a
+    # bare ValueError; a repeated one loaded as one and saved as "extras 1".
+    train(tiny_config(algorithm="plr"), seed=2, out_dir=str(tmp_path / "run"), max_cycles=3)
+    payload = json.loads((tmp_path / "run" / "state.json").read_text())
+    n_extras = extra.count("\n") + 1
+    payload["buffer"], n = re.subn(r"extras 1\nextra max_return \S+",
+                                   f"extras {n_extras}\n{extra}", payload["buffer"], count=1)
+    assert n == 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    with pytest.raises(UedError, match="extra"):
+        resume_run(bad, out_dir=str(tmp_path / "rest"))
 
 
 @pytest.mark.parametrize("algorithm, field", [("accel", "buffer"), ("accel", "node"),
