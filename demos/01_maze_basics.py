@@ -57,7 +57,7 @@ print(f"oracle finished in {steps} steps, return {total:.3f}")
 # observations are egocentric: a view_size x view_size window of one-hot
 # cell classes plus a 4-long extra vector (direction one-hot), computed
 # from a state when asked for
-image, extra = env.encode_observation(env.observe(state))
+image, extra = env.observe(state)
 print("observation image", image.shape, "extras", extra)
 
 # random level generation draws wall count, then wall cells, then the rest

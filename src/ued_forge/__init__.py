@@ -15,6 +15,7 @@ from .env_core import (
     AutoReplayWrapper,
     AutoResetWrapper,
     EnvError,
+    Observation,
     StepResult,
     UnderspecifiedEnv,
     WrappedState,
@@ -52,7 +53,6 @@ from .maze import (
     MazeEditorEnv,
     MazeEnv,
     MazeLevel,
-    MazeObservation,
     MazeState,
     empty_level,
     format_level,

@@ -95,6 +95,9 @@ def _cmd_train(args) -> int:
     except UedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"error: cannot write run files: {exc}", file=sys.stderr)
+        return 1
     print(
         f"done: algorithm={config.algorithm} env_steps={result.env_steps} "
         f"updates={result.updates} cycles={len(result.metrics)}"

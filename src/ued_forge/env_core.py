@@ -7,7 +7,8 @@ curriculum). ``step`` and ``reset_to_level`` are pure given an explicit RNG
 state: calling them with equal inputs and generators at equal state yields
 identical outputs, which is what makes batched rollouts reproducible
 regardless of how they are parallelized. Both take and return states only:
-an observation is ``observe(state)``, computed when a caller asks for it.
+an observation is ``observe(state)``, computed when a caller asks for it, as
+an :class:`Observation` of (image, extras) arrays ready for a policy net.
 
 Fixed-length rollouts need episodes to restart mid-rollout, so two wrappers
 are provided:
@@ -46,6 +47,13 @@ class StepResult(NamedTuple):
     done: bool
 
 
+class Observation(NamedTuple):
+    """One state's observation: one row of a batch's ``encode()``."""
+
+    image: np.ndarray
+    extras: np.ndarray
+
+
 class UnderspecifiedEnv(ABC):
     """Environment without an implicit level distribution.
 
@@ -68,28 +76,21 @@ class UnderspecifiedEnv(ABC):
         """(next state, reward, done) after ``action`` in ``state``."""
 
     @abstractmethod
-    def observe(self, state: Any) -> Any: ...
-
-    def encode_observation(self, obs: Any) -> tuple[np.ndarray, np.ndarray]:
-        """Split an observation into (image, extra-features) for a policy net.
-
-        Library plumbing used by the RL layer; not part of the core contract.
-        """
-        raise NotImplementedError
+    def observe(self, state: Any) -> Observation:
+        """(image, extras) that a policy sees in ``state``."""
 
     def batch(self, states: list):
         """Array form of ``states`` for stepping them together, or None (the
-        default) when the env has none. Library plumbing like
-        :meth:`encode_observation`. A batch holds one row per state and has:
+        default) when the env has none. A batch holds one row per state and has:
 
-        * ``encode() -> (images, extras)``: every row's encoded observation;
+        * ``encode() -> (images, extras)``: every row's observation;
         * ``step(actions) -> mask``: applies one action per row, except on
           the rows in the returned mask, whose episode that action ends;
           those stay as they were, for the caller to step with :meth:`step`;
         * ``state(e)`` and ``set_state(e, state)`` to read and replace row
           ``e``.
 
-        A batch encodes each row from its state, as :meth:`observe` does.
+        Row ``e`` of ``encode()`` equals ``observe(state(e))``.
         Both maze envs have a batch form; for an env without one, a rollout
         steps every row through :meth:`step`.
         """
@@ -138,9 +139,6 @@ class _LevelResetWrapper(UnderspecifiedEnv):
 
     def observe(self, state: WrappedState):
         return self.env.observe(state.inner)
-
-    def encode_observation(self, obs):
-        return self.env.encode_observation(obs)
 
     def batch(self, states):
         inner = self.env.batch([s.inner for s in states])

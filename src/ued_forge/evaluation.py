@@ -5,11 +5,13 @@ whether the goal was reached, and aggregates across levels with both the
 plain mean and the interquartile mean (mean of the middle half, with
 floor(n/4) values dropped from each end).
 
-Policies are callables ``action = policy(state, observation, rng)``. Episodes
-step with ``MazeEnv.step`` and share each level's read-only observations. The
-network policy acts greedily by default (argmax logits, lowest index on ties)
-or samples when asked, from logits computed once per distinct observation of
-the current level (exact: the net is read-only and has no memory); the oracle
+Policies are callables ``action = policy(state, observation, rng)``, where
+the observation is ``MazeEnv.observe(state)``'s ``Observation(image,
+extras)``. Episodes (:func:`run_episode`) step with ``MazeEnv.step`` and share
+each level's read-only observations through a per-level memo. The network
+policy acts greedily by default (argmax logits, lowest index on ties) or
+samples when asked, from logits computed once per distinct observation of the
+current level (exact: the net is read-only and has no memory); the oracle
 follows shortest-path distances, the natural skyline.
 """
 
@@ -66,6 +68,7 @@ def network_policy(params: ActorCriticParams, env, sample: bool = False):
     step from the provided generator. Each distinct observation's argmax or
     CDF is memoized by its bytes (exact: ``params`` are read-only and a B = 1
     forward repeats its bits) and by object, per level: ≤ 4·H·W entries each.
+    ``env`` is not read: observations arrive encoded.
     """
     level, memo, seen = None, {}, {}
 
@@ -75,7 +78,7 @@ def network_policy(params: ActorCriticParams, env, sample: bool = False):
             level, memo, seen = state.level, {}, {}
         held, out = seen.get(id(obs), (None, None))  # held keeps id(obs) unique
         if held is not obs:
-            image, extra = env.encode_observation(obs)
+            image, extra = obs
             key = image.tobytes() + extra.tobytes()
             out = memo.get(key)
             if out is None:
@@ -140,24 +143,25 @@ class EvalReport:
         return lines
 
 
-def _play(env: MazeEnv, policy, level: MazeLevel, rng: np.random.Generator, memo: dict):
-    """:func:`run_episode` with one level's observations in ``memo``, read-only."""
+def run_episode(env: MazeEnv, policy, level: MazeLevel, rng: np.random.Generator,
+                memo: dict | None = None):
+    """One episode from reset to done. Returns (undiscounted return, solved).
+
+    ``memo`` maps (agent_pos, agent_dir) to its read-only observation on
+    ``level``; pass one dict to all of a level's episodes to share them.
+    """
+    memo = {} if memo is None else memo
     state = env.reset_to_level(level, rng)
     total = 0.0
     while True:
         obs = memo.get((state.agent_pos, state.agent_dir))
         if obs is None:
             obs = memo[state.agent_pos, state.agent_dir] = env.observe(state)
-            obs.view.setflags(write=False)
+            obs.image.setflags(write=False)  # extras is a row of a read-only table
         state, reward, done = env.step(state, policy(state, obs, rng))
         total += float(reward)
         if done:
             return total, bool(reward > 0)
-
-
-def run_episode(env: MazeEnv, policy, level: MazeLevel, rng: np.random.Generator):
-    """One episode from reset to done. Returns (undiscounted return, solved)."""
-    return _play(env, policy, level, rng, {})
 
 
 def evaluate(
@@ -178,9 +182,9 @@ def evaluate(
     solve = np.zeros(len(levels), dtype=np.float64)
     rets = np.zeros(len(levels), dtype=np.float64)
     for i, (level, k_level) in enumerate(zip(levels, rng_mod.split(key, len(levels)))):
-        memo = {}  # (agent_pos, agent_dir) -> observation, for this level only
+        memo = {}  # this level's observations, shared by its episodes
         for k_ep in rng_mod.split(k_level, episodes):
-            ret, ok = _play(env, policy, level, rng_mod.generator(k_ep), memo)
+            ret, ok = run_episode(env, policy, level, rng_mod.generator(k_ep), memo)
             rets[i] += ret
             solve[i] += ok
     solve /= episodes

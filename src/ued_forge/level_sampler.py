@@ -274,6 +274,8 @@ def _parse_buffer(text: str) -> LevelBuffer:
         scores.append(float(head[0]))
         touched.append(int(head[2]))
         n_extra = int(head[4])
+        if n_extra < 0:
+            raise BufferError(f"negative extras count at line {i + 1}")
         i += 1
         extra = {}
         for _ in range(n_extra):

@@ -19,12 +19,14 @@ contract:
 Observations are agent-centric: a ``view_size x view_size`` one-hot window
 (channels: empty / wall-or-out-of-bounds / goal) rotated so the facing
 direction points up, with the agent on the middle column of the rear row,
-plus the absolute direction. This is a self-contained stand-in for the
-classic gridworld encoding; exactly one channel is active per cell. A view
-is one gather from the level's class grid, which is framed by enough wall
-cells that no read needs a bounds check. ``reset_to_level`` and ``step``
-return states only; an observation is ``observe(state)``, or a batch's
-``encode()``.
+plus the one-hot absolute direction. This is a self-contained stand-in for
+the classic gridworld encoding; exactly one channel is active per cell. A
+view is one gather from the level's class grid, which is framed by enough
+wall cells that no read needs a bounds check. ``reset_to_level`` and
+``step`` return states only; an observation is ``observe(state)``, an
+``Observation(image, extras)`` equal to that state's row of a batch's
+``encode()``. The editor observes the whole board, one-hot over empty /
+wall / goal / agent, plus its construction progress.
 
 :class:`MazeBatch` is the array form of :class:`MazeEnv` that rollouts step:
 N episodes as flat arrays (one-hot canvas, agent cell, direction, timestep,
@@ -56,7 +58,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .env_core import EnvError, StepResult, UnderspecifiedEnv
+from .env_core import EnvError, Observation, StepResult, UnderspecifiedEnv
 
 # Directions, clockwise from up. _FORWARD[d] is the (row, col) step.
 UP, RIGHT, DOWN, LEFT = 0, 1, 2, 3
@@ -75,7 +77,7 @@ UNREACHABLE = -1
 
 AGENT_CHARS = "^>v<"
 
-# One-hot tables; read-only, because encode_observation hands out their rows.
+# One-hot tables; read-only, because observe hands out their rows.
 _EYE3 = np.eye(3, dtype=np.float32)
 _EYE4 = np.eye(4, dtype=np.float32)
 _EYE3.setflags(write=False)
@@ -151,14 +153,6 @@ class MazeState:
     agent_pos: tuple[int, int]
     agent_dir: int
     timestep: int
-
-
-@dataclass(frozen=True)
-class MazeObservation:
-    """Forward-facing one-hot window plus the absolute facing direction."""
-
-    view: np.ndarray  # (V, V, 3) float32, one-hot per cell
-    direction: int
 
 
 @lru_cache(maxsize=None)
@@ -244,17 +238,15 @@ class MazeEnv(UnderspecifiedEnv):
             return StepResult(new_state, 1.0 - 0.9 * (t / self.max_steps), True)
         return StepResult(new_state, 0.0, t >= self.max_steps)
 
-    def observe(self, state: MazeState) -> MazeObservation:
+    def observe(self, state: MazeState) -> Observation:
+        """(V, V, 3) one-hot view and the (4,) one-hot facing direction."""
         b = self.border
         grid = _class_grid(state.level, b)
         row_len = grid.shape[1]
         r, c = state.agent_pos
         view = _view_offsets(self.view_size, row_len)[state.agent_dir]
         cls = grid.take((r + b) * row_len + c + b + view)
-        return MazeObservation(view=_EYE3.take(cls, axis=0), direction=state.agent_dir)
-
-    def encode_observation(self, obs: MazeObservation):
-        return obs.view, _EYE4[obs.direction]
+        return Observation(_EYE3.take(cls, axis=0), _EYE4[state.agent_dir])
 
     def batch(self, states) -> MazeBatch:
         return MazeBatch(self, states)
@@ -507,14 +499,6 @@ class EditorState:
     budget: int
 
 
-@dataclass(frozen=True)
-class EditorObservation:
-    """Whole-board one-hot view plus normalized construction progress."""
-
-    grid: np.ndarray  # (H, W, 4) float32: empty/wall/goal/agent
-    progress: float
-
-
 class MazeEditorEnv(UnderspecifiedEnv):
     """Builds a maze via atomic edits; actions index cells (row-major).
 
@@ -588,12 +572,10 @@ class MazeEditorEnv(UnderspecifiedEnv):
             if cell != excluded:
                 return (cell // self.width, cell % self.width)
 
-    def observe(self, state: EditorState) -> EditorObservation:
-        grid, _ = MazeEditorBatch(self, [state]).encode()
-        return EditorObservation(grid=grid[0], progress=state.edit_index / (state.budget + 2))
-
-    def encode_observation(self, obs: EditorObservation):
-        return obs.grid, np.array([obs.progress], dtype=np.float32)
+    def observe(self, state: EditorState) -> Observation:
+        """(H, W, 4) one-hot board and the (1,) construction progress."""
+        images, extras = MazeEditorBatch(self, [state]).encode()
+        return Observation(images[0], extras[0])
 
     def batch(self, states) -> MazeEditorBatch:
         return MazeEditorBatch(self, states)

@@ -463,7 +463,7 @@ class _EnvRows:
         img = np.zeros((n,) + tuple(self.cfg.image_shape), dtype=np.float32)
         ext = np.zeros((n, self.cfg.extra_dim), dtype=np.float32)
         for e, state in enumerate(self.states):
-            img[e], ext[e] = self.env.encode_observation(self.env.observe(state))
+            img[e], ext[e] = self.env.observe(state)
         return img, ext
 
     def step(self, actions):

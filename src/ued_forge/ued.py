@@ -525,7 +525,8 @@ def _replay_cycle(config: UedConfig):
     ops = {OP_NEW: on_new_levels, OP_REPLAY: on_replay_levels, OP_MUTATE: on_mutate_levels}
     p = config.resolved_replay_prob
     q = config.resolved_mutation_prob
-    fill_target = config.min_fill_ratio * config.buffer_capacity
+    # At least one level even at min_fill_ratio 0: an empty buffer cannot be replayed.
+    fill_target = max(config.min_fill_ratio * config.buffer_capacity, 1)
 
     def cycle(state: RunState, key: rng_mod.Key):
         k_decide, k_op = rng_mod.split(key)

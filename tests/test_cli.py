@@ -66,6 +66,17 @@ def test_train_streams_metrics_without_out(tmp_path, capsys):
     assert body[0]["cycle"] == 1
 
 
+def test_train_out_over_a_file_is_one_error_line(tmp_path, capsys):
+    # An --out that names a file once ended in a FileExistsError traceback.
+    cfg = write_config(tmp_path, TINY)
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write run files:")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
 def test_train_unknown_key_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, dict(TINY, wals=3))
     assert main(["train", "--config", cfg]) == 2

@@ -44,8 +44,8 @@ def test_auto_replay_resets_to_same_level():
     # so its observation is the reset state's, not the terminal one's
     obs = env.observe(res.state)
     fresh_obs = env.observe(env.reset_to_level(level, None))
-    assert np.array_equal(obs.view, fresh_obs.view)
-    assert obs.direction == fresh_obs.direction
+    assert np.array_equal(obs.image, fresh_obs.image)
+    assert np.array_equal(obs.extras, fresh_obs.extras)
 
 
 def test_auto_replay_passthrough_before_done():
@@ -96,8 +96,7 @@ def test_wrappers_delegate_actions_and_encoding():
     wrapped = AutoReplayWrapper(base)
     assert wrapped.num_actions == base.num_actions
     level = goal_ahead_level()
-    obs = wrapped.observe(wrapped.reset_to_level(level, None))
-    img, extra = wrapped.encode_observation(obs)
+    img, extra = wrapped.observe(wrapped.reset_to_level(level, None))
     assert img.shape == (5, 5, 3)
     assert extra.shape == (4,)
     assert extra[DOWN] == 1.0

@@ -121,7 +121,7 @@ def test_sampled_policy_matches_numpy_inverse_cdf():
         pol = network_policy(params, env, sample=True)
         state = env.reset_to_level(STRAIGHT, R.generator(1))
         obs = env.observe(state)
-        image, extra = env.encode_observation(obs)
+        image, extra = obs
         logits, _ = forward(params, _features(image[None], extra[None], np.float32))
         cdf = np.cumsum(np.exp(log_softmax(logits.astype(np.float64))[0]))
         gen, ref = R.generator(7), R.generator(7)
@@ -226,7 +226,7 @@ def uncached_network_policy(params, env, sample=False):
     """``network_policy`` before the memo: one forward and one CDF per call."""
 
     def policy(state, obs, rng):
-        image, extra = env.encode_observation(obs)
+        image, extra = obs
         logits, _ = forward(params, _features(image[None], extra[None], np.float32))
         if not sample:
             return int(np.argmax(logits[0]))
@@ -282,7 +282,7 @@ def test_forward_runs_once_per_distinct_observation_of_a_level(monkeypatch, samp
         def wrapper(state, obs, rng):
             if not visits or visits[-1][0] is not state.level:
                 visits.append((state.level, set()))
-            image, extra = env.encode_observation(obs)
+            image, extra = obs
             visits[-1][1].add(image.tobytes() + extra.tobytes())
             return policy(state, obs, rng)
 
@@ -309,7 +309,7 @@ def test_bisect_right_matches_searchsorted_with_zero_probability_actions():
     params = scaled(student_params(0), np.float32(1e5))
     state = env.reset_to_level(STRAIGHT, R.generator(1))
     obs = env.observe(state)
-    image, extra = env.encode_observation(obs)
+    image, extra = obs
     logits, _ = forward(params, _features(image[None], extra[None], np.float32))
     cdf = np.cumsum(np.exp(log_softmax(logits.astype(np.float64))[0]))
     assert cdf[0] == 0 and np.any(np.diff(cdf) == 0)
@@ -373,11 +373,11 @@ def make_policy(name, env):
     return network_policy(params, env, sample=mode == "sampled")
 
 
-def recording(policy, env, received):
+def recording(policy, received):
     """``policy`` appending each (state, observation bytes) it is given."""
 
     def wrapper(state, obs, rng):
-        image, extra = env.encode_observation(obs)
+        image, extra = obs
         received.append((state, image.tobytes() + extra.tobytes()))
         return policy(state, obs, rng)
 
@@ -389,7 +389,7 @@ def assert_sweeps_match(env, levels, episodes, key):
         runs = []
         for sweep in (evaluate, reference_evaluate):
             received = []
-            report = sweep(env, recording(make_policy(name, env), env, received), levels,
+            report = sweep(env, recording(make_policy(name, env), received), levels,
                            episodes, key)
             runs.append((report_bytes(report), received))
         assert runs[0][0] == runs[1][0], name
@@ -420,7 +420,7 @@ def test_run_episode_equals_reference():
             runs = []
             for play in (run_episode, reference_run_episode):
                 received = []
-                runs.append((play(env, recording(make_policy(name, env), env, received), level,
+                runs.append((play(env, recording(make_policy(name, env), received), level,
                                   R.generator(3)), received))
             assert runs[0] == runs[1], name
 
@@ -432,12 +432,12 @@ def test_memoized_views_are_read_only():
     def policy(state, obs, rng):
         seen.append(obs)
         with pytest.raises(ValueError, match="read-only"):
-            obs.view[0, 0, 0] = 5.0
+            obs.image[0, 0, 0] = 5.0
         return int(rng.integers(3))
 
     evaluate(env, policy, holdout_levels("easy_9x9")[:2], episodes=2)
     run_episode(env, policy, STRAIGHT, R.generator(0))
-    assert len(seen) > 10 and not any(obs.view.flags.writeable for obs in seen)
+    assert len(seen) > 10 and not any(obs.image.flags.writeable for obs in seen)
     assert len({id(obs) for obs in seen}) < len(seen)  # episodes share observations
 
 
@@ -461,7 +461,7 @@ def test_observe_runs_once_per_distinct_position_of_a_level(monkeypatch, sample)
     env = MazeEnv(max_steps=60)
     a, b = holdout_levels("easy_9x9")[:2]
     episodes, steps = 3, []
-    evaluate(env, recording(network_policy(student_params(), env, sample), env, steps),
+    evaluate(env, recording(network_policy(student_params(), env, sample), steps),
              [a, b, a], episodes=episodes, key=R.key_from_seed(2))
     visits = []  # per run of events on one level: resets and observations
     for kind, level, *at in events:

@@ -436,6 +436,9 @@ def with_first_entry_twice(text):
         lambda t: re.sub(r"extra max_return \S+", "extra max_return nan", t, count=1),
         lambda t: re.sub(r"extra max_return \S+", "extra max_return -inf", t, count=1),
         lambda t: re.sub(r"extras 1\nextra (.*)", r"extras 2\nextra \1\nextra \1", t, count=1),
+        # A negative extras count, which once loaded as no extras and saved
+        # as "extras 0".
+        lambda t: re.sub(r"extras 1\nextra .*", "extras -3", t, count=1),
     ],
 )
 def test_buffer_from_text_rejects_malformed(mangle):

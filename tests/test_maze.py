@@ -84,26 +84,26 @@ def test_observation_hand_case_facing_up():
     env = MazeEnv(view_size=5)
     state = env.reset_to_level(level, None)
     obs = env.observe(state)
-    assert obs.direction == UP
+    assert np.array_equal(obs.extras, np.eye(4, dtype=np.float32)[UP])
     # agent at view (4, 2); wall (0,0) is one step forward, one left -> (3, 1)
-    assert obs.view[4, 2, CH_EMPTY] == 1.0
-    assert obs.view[3, 1, CH_WALL] == 1.0
+    assert obs.image[4, 2, CH_EMPTY] == 1.0
+    assert obs.image[3, 1, CH_WALL] == 1.0
     # goal is behind the agent: nowhere in the forward view
-    assert obs.view[:, :, CH_GOAL].sum() == 0.0
+    assert obs.image[:, :, CH_GOAL].sum() == 0.0
     # everything left of column 0 or beyond row 0 of the world reads as wall
-    assert obs.view[4, 0, CH_WALL] == 1.0  # (1, -1) out of bounds
-    assert obs.view[0, 2, CH_WALL] == 1.0  # (-3, 1) out of bounds
+    assert obs.image[4, 0, CH_WALL] == 1.0  # (1, -1) out of bounds
+    assert obs.image[0, 2, CH_WALL] == 1.0  # (-3, 1) out of bounds
 
 
 def test_observation_hand_case_facing_right():
     level = parse_level("#..\n.>.\n..G\n")
     env = MazeEnv(view_size=5)
     obs = env.observe(env.reset_to_level(level, None))
-    assert obs.direction == RIGHT
+    assert np.array_equal(obs.extras, np.eye(4, dtype=np.float32)[RIGHT])
     # goal (2,2): one forward step, one right step -> view (3, 3)
-    assert obs.view[3, 3, CH_GOAL] == 1.0
+    assert obs.image[3, 3, CH_GOAL] == 1.0
     # wall (0,0): one back... not visible; one-hot must still be a partition
-    assert np.array_equal(obs.view.sum(axis=2), np.ones((5, 5), np.float32))
+    assert np.array_equal(obs.image.sum(axis=2), np.ones((5, 5), np.float32))
 
 
 def test_observation_matches_reference_on_fuzzed_levels():
@@ -113,8 +113,8 @@ def test_observation_matches_reference_on_fuzzed_levels():
         state = env.reset_to_level(level, None)
         obs = env.observe(state)
         expected = reference_view(level, level.agent_pos, level.agent_dir, 5)
-        assert np.array_equal(obs.view, expected), f"level {i}"
-        assert obs.direction == level.agent_dir
+        assert np.array_equal(obs.image, expected), f"level {i}"
+        assert np.array_equal(obs.extras, np.eye(4, dtype=np.float32)[level.agent_dir])
 
 
 def test_encoded_observation_tables_are_read_only():
@@ -122,7 +122,7 @@ def test_encoded_observation_tables_are_read_only():
     # direction, MazeBatch.encode included.
     env = MazeEnv(view_size=3)
     state = env.reset_to_level(parse_level(">.G\n"), None)
-    _, extra = env.encode_observation(env.observe(state))
+    _, extra = env.observe(state)
     with pytest.raises(ValueError, match="read-only"):
         extra[:] = 7
     _, extras = env.batch([state]).encode()
@@ -135,7 +135,7 @@ def test_observation_one_hot_partition():
         level = rand_level(R.fold_in(R.key_from_seed(33), i))
         obs = env.observe(env.reset_to_level(level, None))
         assert np.array_equal(
-            obs.view.sum(axis=2), np.ones((5, 5), dtype=np.float32)
+            obs.image.sum(axis=2), np.ones((5, 5), dtype=np.float32)
         )
 
 
@@ -561,8 +561,8 @@ def test_editor_episode_structure():
     assert env.episode_steps == 5
     state = env.reset_to_level(empty_level(5, 5), None)
     obs = env.observe(state)
-    assert obs.grid.shape == (5, 5, 4)
-    assert obs.progress == 0.0
+    assert obs.image.shape == (5, 5, 4)
+    assert obs.extras[0] == 0.0
     gen = R.generator(R.key_from_seed(15))
     done_flags = []
     for i in range(5):
@@ -612,14 +612,14 @@ def test_editor_observation_classes_and_progress():
     canvas = parse_level("#..G\n....\n....\n^...\n")
     state = env.reset_to_level(canvas, None)
     obs = env.observe(state)
-    assert obs.grid[0, 0, 1] == 1.0  # wall channel
-    assert obs.grid[0, 3, 2] == 1.0  # goal channel
-    assert obs.grid[3, 0, 3] == 1.0  # agent channel
-    assert obs.grid[1, 1, 0] == 1.0  # empty channel
-    assert np.array_equal(obs.grid.sum(axis=2), np.ones((4, 4), np.float32))
+    assert obs.image[0, 0, 1] == 1.0  # wall channel
+    assert obs.image[0, 3, 2] == 1.0  # goal channel
+    assert obs.image[3, 0, 3] == 1.0  # agent channel
+    assert obs.image[1, 1, 0] == 1.0  # empty channel
+    assert np.array_equal(obs.image.sum(axis=2), np.ones((4, 4), np.float32))
     gen = R.generator(R.key_from_seed(18))
     res = env.step(state, 6, gen)
-    assert env.observe(res.state).progress == pytest.approx(1 / 4)
+    assert env.observe(res.state).extras[0] == pytest.approx(1 / 4)
 
 
 @pytest.mark.parametrize("width, height", [(0, 5), (5, 0), (-1, -2), (1, 1)])

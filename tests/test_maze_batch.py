@@ -14,6 +14,7 @@ from ued_forge.env_core import (
     AutoReplayWrapper,
     AutoResetWrapper,
     EnvError,
+    Observation,
     UnderspecifiedEnv,
 )
 from ued_forge.maze import (
@@ -27,6 +28,7 @@ from ued_forge.maze import (
     MazeEditorEnv,
     MazeEnv,
     MazeLevel,
+    empty_level,
     generate_random_level,
     parse_level,
 )
@@ -56,9 +58,10 @@ def assert_rows_match(batch, env, states):
         assert batch.state(e) == state
         obs = env.observe(state)
         expected = reference_view(state.level, state.agent_pos, state.agent_dir, env.view_size)
-        assert np.array_equal(obs.view, expected)
-        assert np.array_equal(images[e], obs.view)
+        assert np.array_equal(obs.image, expected)
+        assert np.array_equal(images[e], obs.image)
         assert np.array_equal(extras[e], np.eye(4, dtype=np.float32)[state.agent_dir])
+        assert np.array_equal(extras[e], obs.extras)
 
 
 @settings(max_examples=200, deadline=None)
@@ -131,7 +134,7 @@ def assert_editor_rows_match(batch, env, states):
     for e, state in enumerate(states):
         assert batch.state(e) == state
         image, extra = reference_editor_view(state)
-        for got in ((images[e], extras[e]), env.encode_observation(env.observe(state))):
+        for got in ((images[e], extras[e]), env.observe(state)):
             assert got[0].dtype == image.dtype and got[0].tobytes() == image.tobytes()
             assert got[1].dtype == extra.dtype and got[1].tobytes() == extra.tobytes()
 
@@ -176,6 +179,27 @@ def test_editor_batch_rows_match_env_step(shape, data):
     assert_editor_rows_match(batch, env, states)
 
 
+@pytest.mark.parametrize("make_env", [
+    lambda: MazeEnv(max_steps=10),
+    lambda: MazeEditorEnv(width=5, height=5, wall_budget=3),
+    lambda: AutoReplayWrapper(MazeEnv(max_steps=10)),
+    lambda: AutoResetWrapper(MazeEditorEnv(width=5, height=5, wall_budget=3),
+                             lambda gen: empty_level(5, 5)),
+], ids=["maze", "editor", "replay", "reset"])
+def test_observe_is_its_row_of_the_batch_encoding(make_env):
+    env = make_env()
+    gen = R.generator(R.key_from_seed(5))
+    state = env.reset_to_level(generate_random_level(gen, 5, 5, max_walls=6), gen)
+    for _ in range(4):
+        obs = env.observe(state)
+        assert type(obs) is Observation
+        images, extras = env.batch([state]).encode()
+        for got, row in zip(obs, (images[0], extras[0])):
+            assert got.dtype == row.dtype and got.shape == row.shape
+            assert got.tobytes() == row.tobytes()
+        state = env.step(state, int(gen.integers(env.num_actions)), gen).state
+
+
 class PerEnv(UnderspecifiedEnv):
     """``env`` without its batch form: rollouts step it env by env."""
 
@@ -194,9 +218,6 @@ class PerEnv(UnderspecifiedEnv):
 
     def observe(self, state):
         return self.env.observe(state)
-
-    def encode_observation(self, obs):
-        return self.env.encode_observation(obs)
 
 
 def mixed_size_level(gen):

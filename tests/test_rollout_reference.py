@@ -57,7 +57,7 @@ def reference_rollout(env, params, states, n_steps, key):
         img = np.zeros((n,) + tuple(cfg.image_shape), dtype=np.float32)
         ext = np.zeros((n, cfg.extra_dim), dtype=np.float32)
         for e, state in enumerate(states):
-            img[e], ext[e] = env.encode_observation(env.observe(state))
+            img[e], ext[e] = env.observe(state)
         return img, ext
 
     for t in range(n_steps):

@@ -353,6 +353,15 @@ def test_fill_gating_forces_initial_news():
     assert all(m["cycle_type"] == "replay" for m in res.metrics[1:])
 
 
+def test_zero_fill_ratio_generates_before_replaying():
+    # A fill target of 0 once let cycle 0 replay the empty buffer, which
+    # raised a bare BufferError.
+    cfg = tiny_config(algorithm="plr", replay_prob=1.0, min_fill_ratio=0.0)
+    res = train(cfg, seed=0)
+    assert res.metrics[0]["cycle_type"] == "new"
+    assert all(m["cycle_type"] == "replay" for m in res.metrics[1:])
+
+
 def test_accel_alternates_replay_and_mutate():
     cfg = tiny_config(algorithm="accel", replay_prob=1.0, mutation_prob=1.0)
     res = train(cfg, seed=0)
@@ -693,17 +702,19 @@ def test_load_run_state_rejects_bad_fields(tmp_path, algorithm, change):
         load_run_state(bad)
 
 
-@pytest.mark.parametrize("extra", ["extra max_return nan", "extra max_return inf",
-                                   "extra max_return 0.5\nextra max_return 0.25"],
-                         ids=["nan", "inf", "repeated"])
-def test_resume_rejects_bad_buffer_extras(tmp_path, extra):
+@pytest.mark.parametrize("extras", ["extras 1\nextra max_return nan",
+                                    "extras 1\nextra max_return inf",
+                                    "extras 2\nextra max_return 0.5\nextra max_return 0.25",
+                                    "extras -3"],
+                         ids=["nan", "inf", "repeated", "negative"])
+def test_resume_rejects_bad_buffer_extras(tmp_path, extras):
     # A non-finite extra once loaded and failed at the first replay with a
-    # bare ValueError; a repeated one loaded as one and saved as "extras 1".
+    # bare ValueError; a repeated one loaded as one and saved as "extras 1";
+    # a negative count loaded as none and saved as "extras 0".
     train(tiny_config(algorithm="plr"), seed=2, out_dir=str(tmp_path / "run"), max_cycles=3)
     payload = json.loads((tmp_path / "run" / "state.json").read_text())
-    n_extras = extra.count("\n") + 1
-    payload["buffer"], n = re.subn(r"extras 1\nextra max_return \S+",
-                                   f"extras {n_extras}\n{extra}", payload["buffer"], count=1)
+    payload["buffer"], n = re.subn(r"extras 1\nextra max_return \S+", extras,
+                                   payload["buffer"], count=1)
     assert n == 1
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload))
