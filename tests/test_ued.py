@@ -477,6 +477,101 @@ def test_interrupted_run_resumes_exactly(tmp_path, algorithm):
         assert (run / name).read_bytes() == (full / name).read_bytes(), name
 
 
+# Resume at every cycle: each algorithm (both scorings for the replay ones)
+# runs RESUME_CYCLES cycles over a 6-level buffer, small enough that new and
+# mutated levels start replacing buffered ones within the run. Tier-1 runs
+# two cycles of each run, spread over the grid; the rest are smoke cases.
+RESUME_CYCLES = 12
+RESUME_RUNS = [("dr", "maxmc"), ("paired", "maxmc")] + [
+    (algorithm, scoring) for algorithm in ("plr", "plr_robust", "accel")
+    for scoring in ued.SCORING]
+RESUME_GRID = [
+    pytest.param(algorithm, scoring, cycle,
+                 marks=() if cycle in (3 * i % RESUME_CYCLES, (3 * i + 7) % RESUME_CYCLES)
+                 else pytest.mark.smoke)
+    for i, (algorithm, scoring) in enumerate(RESUME_RUNS) for cycle in range(RESUME_CYCLES)]
+
+
+def resume_config(algorithm, scoring):
+    cfg = tiny_config(algorithm=algorithm, scoring=scoring, buffer_capacity=6)
+    return replace(cfg, total_env_steps=RESUME_CYCLES * steps_per_cycle(cfg))
+
+
+def run_files(out):
+    return {name: (out / name).read_bytes() for name in os.listdir(out)}
+
+
+@pytest.fixture(scope="module")
+def uninterrupted(tmp_path_factory):
+    """``run(algorithm, scoring)``: the files of the whole run, trained once."""
+    runs = {}
+
+    def run(algorithm, scoring):
+        if (algorithm, scoring) not in runs:
+            out = tmp_path_factory.mktemp(f"{algorithm}-{scoring}")
+            train(resume_config(algorithm, scoring), seed=7, out_dir=str(out))
+            runs[algorithm, scoring] = run_files(out)
+        return runs[algorithm, scoring]
+
+    return run
+
+
+@pytest.mark.parametrize("algorithm, scoring, cycle", RESUME_GRID)
+def test_resume_at_every_cycle(tmp_path, uninterrupted, algorithm, scoring, cycle):
+    part, rest = tmp_path / "part", tmp_path / "rest"
+    train(resume_config(algorithm, scoring), seed=7, out_dir=str(part), max_cycles=cycle)
+    resume_run(part / "state.json", out_dir=str(rest))
+    got = run_files(rest)
+    got["metrics.jsonl"] = (part / "metrics.jsonl").read_bytes() + got["metrics.jsonl"]
+    full = uninterrupted(algorithm, scoring)
+    assert sorted(got) == sorted(full)
+    for name in full:
+        assert got[name] == full[name], name
+
+
+@pytest.mark.parametrize("algorithm, scoring", RESUME_RUNS[2:])
+def test_resume_runs_fill_and_replace_the_buffer(uninterrupted, algorithm, scoring):
+    entries = [json.loads(line) for line in
+               uninterrupted(algorithm, scoring)["metrics.jsonl"].splitlines()]
+    # An insert after the buffer is full must replace buffered levels.
+    assert any(e["cycle_type"] != OP_REPLAY and before["buffer_size"] == 6
+               for before, e in zip(entries, entries[1:]))
+
+
+def counting(calls, fn):
+    """``fn``, counting its calls by name in ``calls``."""
+    def wrapped(*args, **kwargs):
+        calls[fn.__name__] += 1
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+@pytest.mark.parametrize("algorithm, n_rollouts, n_gaes",
+                         [("dr", 1, 1), ("plr", 1, 1), ("plr_robust", 1, 1),
+                          ("accel", 1, 1), ("paired", 2, 3)])
+def test_each_cycle_rolls_out_once_and_banks_its_steps(monkeypatch, algorithm,
+                                                       n_rollouts, n_gaes):
+    # One student rollout a cycle (paired adds its editor's), one GAE per
+    # trajectory, and every metrics line carries the steps of its cycles.
+    calls = collections.Counter()
+    for name in ("rollout", "compute_gae"):
+        monkeypatch.setattr(ued, name, counting(calls, getattr(ued, name)))
+    per_cycle = []
+
+    def callback(entry, params):
+        per_cycle.append((calls["rollout"], calls["compute_gae"]))
+        calls.clear()
+
+    cfg = tiny_config(algorithm=algorithm)
+    res = train(cfg, seed=3, cycle_callback=callback)
+    assert per_cycle == [(n_rollouts, n_gaes)] * len(res.metrics)
+    assert [m["env_steps"] for m in res.metrics] == [
+        m["cycle"] * steps_per_cycle(cfg) for m in res.metrics]
+    assert [m["cycle"] for m in res.metrics] == list(range(1, len(res.metrics) + 1))
+    if algorithm == "accel":
+        assert {m["cycle_type"] for m in res.metrics} == {OP_NEW, OP_REPLAY, OP_MUTATE}
+
+
 @pytest.mark.parametrize("algorithm, n_nets, n_buffers",
                          [("dr", 1, 0), ("accel", 1, 1), ("paired", 3, 0)])
 def test_save_serializes_each_network_and_the_buffer_once(tmp_path, monkeypatch, algorithm,
@@ -484,17 +579,10 @@ def test_save_serializes_each_network_and_the_buffer_once(tmp_path, monkeypatch,
     run, again = tmp_path / "run", tmp_path / "again"
     train(tiny_config(algorithm=algorithm), seed=2, out_dir=str(run), max_cycles=4)
     calls = collections.Counter()
-
-    def counted(fn):
-        def wrapped(*args, **kwargs):
-            calls[fn.__name__] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
     # Patch the serializers where they are defined and where ued imports them.
     for module, name in ((rl_core, "params_to_bytes"), (ued, "params_to_bytes"),
                          (level_sampler, "buffer_to_text"), (ued, "buffer_to_text")):
-        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+        monkeypatch.setattr(module, name, counting(calls, getattr(module, name)))
     resume_run(run / "state.json", out_dir=str(again), max_cycles=0)
     monkeypatch.undo()
     assert calls == collections.Counter(params_to_bytes=n_nets, buffer_to_text=n_buffers)
