@@ -29,12 +29,16 @@ or by a maximum-Monte-Carlo gap (mean of ``max(0, R_max - V(s))`` with
 ``R_max`` the best discounted return ever observed on that level); scores
 drive the buffer's rank-based replay distribution.
 
-Each algorithm supplies one ``cycle(state, key) -> (state, entry)`` over a
-shared :class:`RunState`; one driver runs every algorithm's cycles. It draws
-each cycle's randomness as ``fold_in(run_key, cycle)``, so a run
-checkpointed mid-stream resumes on the exact random sequence. Metrics are
-emitted as one JSON object per cycle with sorted keys; identical seeds give
-byte-identical metrics and checkpoints.
+Every cycle is plan, one student rollout, then learn. Each algorithm's
+``plan(state, key) -> (state, job, learn)`` over a shared :class:`RunState`
+picks the levels (or env states) and the policies to roll out, the ``job``.
+``_run_cycle`` runs it, computes each policy's GAE and banks the cycle's
+env steps, all in that one place; ``learn`` then scores, trains and stores.
+One driver runs every algorithm's cycles. It draws each cycle's randomness as
+``fold_in(run_key, cycle)``, so a run checkpointed mid-stream resumes on
+the exact random sequence. Metrics are emitted as one JSON object per cycle
+with sorted keys; identical seeds give byte-identical metrics and
+checkpoints.
 """
 
 from __future__ import annotations
@@ -201,7 +205,8 @@ def ued_config_from_dict(data: dict) -> UedConfig:
         kwargs = dict(data)
         if ppo_data is not None:
             ppo_data = dict(ppo_data)
-            if ppo_data.pop("minibatches", 1) != 1:
+            minibatches = ppo_data.pop("minibatches", 1)
+            if type(minibatches) is not int or minibatches != 1:
                 raise UedError("ppo.minibatches must be 1 (PPO runs on the full batch)")
             ppo_known = set(PpoConfig.__dataclass_fields__)
             for key in ppo_data:
@@ -356,21 +361,6 @@ class RunState:
     adversary: ActorCriticParams | None = None
 
 
-def rollout_on_levels(config: UedConfig, env, policies: list, levels, keys: list) -> list:
-    """For each policy and its key, reset one env per level; collect one
-    fixed-length batched rollout of all policies, and return each policy's
-    (trajectory, GAE advantages, value targets)."""
-    states, roll_keys = [], []
-    for key in keys:
-        k_reset, k_roll = rng_mod.split(key)
-        roll_keys.append(k_roll)
-        states += [env.reset_to_level(level, rng_mod.generator(k))
-                   for level, k in zip(levels, rng_mod.split(k_reset, len(levels)))]
-    trajs, _ = rollout(env, policies, states, config.ppo.rollout_steps, roll_keys)
-    return [(traj, *compute_gae(traj, config.ppo.gamma, config.ppo.gae_lambda))
-            for traj in trajs]
-
-
 def _episode_metrics(traj: Trajectory) -> dict:
     stats = episode_returns(traj)
     n = int(stats.returns.size)
@@ -379,12 +369,6 @@ def _episode_metrics(traj: Trajectory) -> dict:
         "mean_return": float(stats.returns.mean()) if n else 0.0,
         "solve_rate": float(stats.solved.mean()) if n else 0.0,
     }
-
-
-def _buffer_metrics(buffer: LevelBuffer) -> dict:
-    size = buffer.size
-    mean_score = float(buffer.scores[:size].mean()) if size else 0.0
-    return {"buffer_size": size, "mean_buffer_score": mean_score}
 
 
 def _train_metrics(stats: dict) -> dict:
@@ -409,26 +393,83 @@ def _train_student(config: UedConfig, state: RunState, traj, adv, targets):
 
 
 # ---------------------------------------------------------------------------
-# Buffer-based cycle subroutines
+# Cycles: plan(state, key) -> (state, job, learn), run by _run_cycle
 # ---------------------------------------------------------------------------
 
-def _on_fresh_levels(config: UedConfig, env, state: RunState, levels, key: rng_mod.Key,
-                     op: str, train: bool):
-    """Roll out on levels new to the buffer, score them with no prior, train
-    on them if ``train``, and insert them."""
-    [(traj, adv, targets)] = rollout_on_levels(config, env, [state.params], levels, [key])
-    scores, extras = _score_trajectory(config, traj, adv, prior_max=None)
-    metrics = {"cycle_type": op, "trained": False}
-    if train:
-        state, trained = _train_student(config, state, traj, adv, targets)
-        metrics.update(trained)
-    metrics.update(_episode_metrics(traj))
-    new_state = replace(
-        state,
-        buffer=insert_batch(state.buffer, levels, scores, extras),
-        env_steps=state.env_steps + config.ppo.n_envs * traj.n_steps,
-    )
-    return new_state, metrics
+def _run_cycle(config: UedConfig, state: RunState, job, learn):
+    """Run the cycle's one student rollout, ``job = (env, policies, states,
+    keys)`` with one equal group of states per policy, and bank its env
+    steps. Returns ``learn(state, played, finals)``: ``played`` holds each
+    group's (trajectory, GAE advantages, value targets), ``finals`` its
+    final states."""
+    env, policies, states, keys = job
+    trajs, finals = rollout(env, policies, states, config.ppo.rollout_steps, keys)
+    played = [(traj, *compute_gae(traj, config.ppo.gamma, config.ppo.gae_lambda))
+              for traj in trajs]
+    state = replace(state, env_steps=state.env_steps + len(states) * config.ppo.rollout_steps)
+    return learn(state, played, finals)
+
+
+def _level_job(env, policies: list, levels, keys: list):
+    """The rollout job of ``policies`` on ``levels``: for each policy's key,
+    one env reset per level, and the rest of the key for its rollout."""
+    states, roll_keys = [], []
+    for key in keys:
+        k_reset, k_roll = rng_mod.split(key)
+        roll_keys.append(k_roll)
+        states += [env.reset_to_level(level, rng_mod.generator(k))
+                   for level, k in zip(levels, rng_mod.split(k_reset, len(levels)))]
+    return env, policies, states, roll_keys
+
+
+def _plan_levels(config: UedConfig, env, state: RunState, op: str, key: rng_mod.Key):
+    """Plan one replay-family cycle of operation ``op`` on the student.
+
+    ``new`` generates levels, ``replay`` samples them from the buffer and
+    ``mutate`` edits the last replayed ones. ``learn`` scores the levels,
+    trains on them under ``replay`` (and ``new`` unless the algorithm is
+    robust), then updates the replayed slots or inserts the levels.
+    """
+    k_levels, k_roll = rng_mod.split(key)
+    indices = None
+    if op == OP_NEW:
+        levels = [generate_random_level(rng_mod.generator(k), config.width, config.height,
+                                        config.max_walls)
+                  for k in rng_mod.split(k_levels, config.ppo.n_envs)]
+    elif op == OP_REPLAY:
+        buffer, indices, levels = sample_levels(
+            state.buffer, _sampler_config(config), rng_mod.generator(k_levels),
+            config.ppo.n_envs,
+        )
+        state = replace(state, buffer=buffer)
+    else:
+        if not state.last_replayed:
+            raise UedError("mutation requested before any replay cycle")
+        levels = [mutate_level(level, rng_mod.generator(k), config.n_edits)
+                  for level, k in zip(state.last_replayed,
+                                      rng_mod.split(k_levels, len(state.last_replayed)))]
+
+    def learn(state: RunState, played, finals):
+        [(traj, adv, targets)] = played
+        prior = None
+        if indices is not None and config.scoring == "maxmc":
+            prior = np.array([state.buffer.extras[i].get("max_return", 0.0) for i in indices],
+                             dtype=np.float64)
+        scores, extras = _score_trajectory(config, traj, adv, prior_max=prior)
+        entry = {"cycle_type": op, "trained": False, **_episode_metrics(traj)}
+        if op == OP_REPLAY or (op == OP_NEW and not config.robust):
+            state, trained = _train_student(config, state, traj, adv, targets)
+            entry.update(trained)
+        if indices is None:
+            state = replace(state, buffer=insert_batch(state.buffer, levels, scores, extras))
+        else:
+            state = replace(state, buffer=update_batch(state.buffer, indices, scores, extras),
+                            last_replayed=tuple(levels))
+        size = state.buffer.size
+        mean_score = float(state.buffer.scores[:size].mean()) if size else 0.0
+        return state, {**entry, "buffer_size": size, "mean_buffer_score": mean_score}
+
+    return state, _level_job(env, [state.params], levels, [k_roll]), learn
 
 
 def on_new_levels(config: UedConfig, env, state: RunState, key: rng_mod.Key):
@@ -436,59 +477,18 @@ def on_new_levels(config: UedConfig, env, state: RunState, key: rng_mod.Key):
 
     Trains on them unless the algorithm is replay-only ("robust").
     """
-    k_gen, k_roll = rng_mod.split(key)
-    levels = [
-        generate_random_level(
-            rng_mod.generator(k), config.width, config.height, config.max_walls
-        )
-        for k in rng_mod.split(k_gen, config.ppo.n_envs)
-    ]
-    return _on_fresh_levels(config, env, state, levels, k_roll, OP_NEW, train=not config.robust)
+    return _run_cycle(config, *_plan_levels(config, env, state, OP_NEW, key))
 
 
 def on_replay_levels(config: UedConfig, env, state: RunState, key: rng_mod.Key):
     """Replay buffered levels, always train, and refresh their scores."""
-    k_sample, k_roll = rng_mod.split(key)
-    buffer, indices, levels = sample_levels(
-        state.buffer, _sampler_config(config), rng_mod.generator(k_sample),
-        config.ppo.n_envs,
-    )
-    [(traj, adv, targets)] = rollout_on_levels(config, env, [state.params], levels, [k_roll])
-    if config.scoring == "maxmc":
-        prior = np.array(
-            [buffer.extras[i].get("max_return", 0.0) for i in indices],
-            dtype=np.float64,
-        )
-    else:
-        prior = None
-    scores, extras = _score_trajectory(config, traj, adv, prior_max=prior)
-
-    state, trained = _train_student(config, state, traj, adv, targets)
-    metrics = {"cycle_type": OP_REPLAY, **trained, **_episode_metrics(traj)}
-    new_state = replace(
-        state,
-        buffer=update_batch(buffer, indices, scores, extras),
-        env_steps=state.env_steps + config.ppo.n_envs * traj.n_steps,
-        last_replayed=tuple(levels),
-    )
-    return new_state, metrics
+    return _run_cycle(config, *_plan_levels(config, env, state, OP_REPLAY, key))
 
 
 def on_mutate_levels(config: UedConfig, env, state: RunState, key: rng_mod.Key):
     """Mutate the most recently replayed levels, score, insert. Never trains."""
-    if not state.last_replayed:
-        raise UedError("mutation requested before any replay cycle")
-    k_mut, k_roll = rng_mod.split(key)
-    levels = [
-        mutate_level(level, rng_mod.generator(k), config.n_edits)
-        for level, k in zip(state.last_replayed, rng_mod.split(k_mut, len(state.last_replayed)))
-    ]
-    return _on_fresh_levels(config, env, state, levels, k_roll, OP_MUTATE, train=False)
+    return _run_cycle(config, *_plan_levels(config, env, state, OP_MUTATE, key))
 
-
-# ---------------------------------------------------------------------------
-# Per-algorithm cycles: each factory returns cycle(state, key) -> (state, entry)
-# ---------------------------------------------------------------------------
 
 def _dr_env(config: UedConfig) -> AutoResetWrapper:
     """The ``dr`` student env: a maze that resets to a fresh random level."""
@@ -499,36 +499,33 @@ def _dr_env(config: UedConfig) -> AutoResetWrapper:
     )
 
 
-def _dr_cycle(config: UedConfig):
+def _dr_plan(config: UedConfig):
+    """Roll out on the persistent env batch, train, and keep its final states."""
     env = _dr_env(config)
 
-    def cycle(state: RunState, key: rng_mod.Key):
-        [traj], [env_states] = rollout(
-            env, [state.params], state.env_states, config.ppo.rollout_steps, [key]
-        )
-        adv, targets = compute_gae(traj, config.ppo.gamma, config.ppo.gae_lambda)
+    def learn(state: RunState, played, finals):
+        [(traj, adv, targets)] = played
         state, trained = _train_student(config, state, traj, adv, targets)
-        state = replace(
-            state,
-            env_states=env_states,
-            env_steps=state.env_steps + config.ppo.n_envs * traj.n_steps,
-        )
-        return state, {"cycle_type": OP_NEW, **trained, **_episode_metrics(traj)}
+        entry = {"cycle_type": OP_NEW, **trained, **_episode_metrics(traj)}
+        return replace(state, env_states=finals[0]), entry
 
-    return cycle
+    def plan(state: RunState, key: rng_mod.Key):
+        return state, (env, [state.params], state.env_states, [key]), learn
+
+    return plan
 
 
-def _replay_cycle(config: UedConfig):
+def _replay_plan(config: UedConfig):
+    """The automaton picks each cycle's operation; ``_plan_levels`` plans it."""
     env = AutoReplayWrapper(
         MazeEnv(max_steps=config.max_episode_steps, view_size=config.view_size)
     )
-    ops = {OP_NEW: on_new_levels, OP_REPLAY: on_replay_levels, OP_MUTATE: on_mutate_levels}
     p = config.resolved_replay_prob
     q = config.resolved_mutation_prob
     # At least one level even at min_fill_ratio 0: an empty buffer cannot be replayed.
     fill_target = max(config.min_fill_ratio * config.buffer_capacity, 1)
 
-    def cycle(state: RunState, key: rng_mod.Key):
+    def plan(state: RunState, key: rng_mod.Key):
         k_decide, k_op = rng_mod.split(key)
         if state.buffer.size < fill_target:
             # Below the fill threshold every cycle generates; the
@@ -536,10 +533,9 @@ def _replay_cycle(config: UedConfig):
             op, node = OP_NEW, NODE_A
         else:
             op, node = meta_policy_next(state.node, p, q, rng_mod.generator(k_decide))
-        state, entry = ops[op](config, env, replace(state, node=node), k_op)
-        return state, {**entry, **_buffer_metrics(state.buffer)}
+        return _plan_levels(config, env, replace(state, node=node), op, k_op)
 
-    return cycle
+    return plan
 
 
 def _regret(pro_traj: Trajectory, ant_traj: Trajectory, gamma: float | None):
@@ -555,7 +551,9 @@ def _regret(pro_traj: Trajectory, ant_traj: Trajectory, gamma: float | None):
     return max_episode_discounted_returns(ant_traj, gamma) - pro_mean
 
 
-def _paired_cycle(config: UedConfig):
+def _paired_plan(config: UedConfig):
+    """The adversary builds the levels; both students play them in one
+    rollout, and all three networks learn from it."""
     student_env = AutoReplayWrapper(
         MazeEnv(max_steps=config.max_episode_steps, view_size=config.view_size)
     )
@@ -567,9 +565,8 @@ def _paired_cycle(config: UedConfig):
     canvas = empty_level(config.width, config.height)
     regret_gamma = config.ppo.gamma if config.discounted_regret else None
 
-    def cycle(state: RunState, key: rng_mod.Key):
+    def plan(state: RunState, key: rng_mod.Key):
         k_ed, k_pro_roll, k_ant_roll = rng_mod.split(key, 3)
-        lr = _lr_for_cycle(config, state.cycle)
 
         # Adversary builds one level per env, one edit per step.
         ed_states = [editor_env.reset_to_level(canvas, None) for _ in range(n)]
@@ -578,47 +575,39 @@ def _paired_cycle(config: UedConfig):
         )
         levels = [s.level for s in ed_states]
 
-        # Both students play the built levels in one rollout.
-        (pro_traj, pro_adv, pro_tgt), (ant_traj, ant_adv, ant_tgt) = rollout_on_levels(
-            config, student_env, [state.params, state.antagonist], levels,
-            [k_pro_roll, k_ant_roll],
-        )
-        regret = _regret(pro_traj, ant_traj, regret_gamma)
+        def learn(state: RunState, played, finals):
+            (pro_traj, pro_adv, pro_tgt), (ant_traj, ant_adv, ant_tgt) = played
+            lr = _lr_for_cycle(config, state.cycle)
+            regret = _regret(pro_traj, ant_traj, regret_gamma)
+            protagonist, pro_stats = ppo_update(state.params, pro_traj, pro_adv, pro_tgt,
+                                                config.ppo, lr)
+            antagonist, ant_stats = ppo_update(state.antagonist, ant_traj, ant_adv, ant_tgt,
+                                               config.ppo, lr)
 
-        protagonist, pro_stats = ppo_update(
-            state.params, pro_traj, pro_adv, pro_tgt, config.ppo, lr
-        )
-        antagonist, ant_stats = ppo_update(
-            state.antagonist, ant_traj, ant_adv, ant_tgt, config.ppo, lr
-        )
+            # Regret lands as the reward on the adversary's final edit.
+            ed_rewards = ed_traj.rewards.copy()
+            ed_rewards[-1, :] = regret.astype(np.float32)
+            regret_traj = replace(ed_traj, rewards=ed_rewards)
+            ed_adv, ed_tgt = compute_gae(regret_traj, adv_ppo.gamma, adv_ppo.gae_lambda)
+            adversary, adv_stats = ppo_update(state.adversary, regret_traj, ed_adv, ed_tgt,
+                                              adv_ppo, lr)
 
-        # Regret lands as the reward on the adversary's final edit.
-        ed_rewards = ed_traj.rewards.copy()
-        ed_rewards[-1, :] = regret.astype(np.float32)
-        ed_traj = replace(ed_traj, rewards=ed_rewards)
-        ed_adv, ed_tgt = compute_gae(ed_traj, adv_ppo.gamma, adv_ppo.gae_lambda)
-        adversary, adv_stats = ppo_update(
-            state.adversary, ed_traj, ed_adv, ed_tgt, adv_ppo, lr
-        )
+            entry = {"cycle_type": "paired", "trained": True, "lr": lr,
+                     "mean_regret": float(regret.mean())}
+            for name, stats in (("protagonist", pro_stats), ("antagonist", ant_stats),
+                                ("adversary", adv_stats)):
+                entry.update({f"{name}_{k}": v for k, v in _train_metrics(stats).items()})
+            entry.update(_episode_metrics(pro_traj))
+            entry.update({f"antagonist_{k}": v for k, v in _episode_metrics(ant_traj).items()})
+            state = replace(state, params=protagonist, antagonist=antagonist,
+                            adversary=adversary, updates=state.updates + 3)
+            return state, entry
 
-        entry = {"cycle_type": "paired", "trained": True, "lr": lr,
-                 "mean_regret": float(regret.mean())}
-        entry.update({f"protagonist_{k}": v for k, v in _train_metrics(pro_stats).items()})
-        entry.update({f"antagonist_{k}": v for k, v in _train_metrics(ant_stats).items()})
-        entry.update({f"adversary_{k}": v for k, v in _train_metrics(adv_stats).items()})
-        entry.update(_episode_metrics(pro_traj))
-        entry.update({f"antagonist_{k}": v for k, v in _episode_metrics(ant_traj).items()})
-        state = replace(
-            state,
-            params=protagonist,
-            antagonist=antagonist,
-            adversary=adversary,
-            updates=state.updates + 3,
-            env_steps=state.env_steps + 2 * n * config.ppo.rollout_steps,
-        )
-        return state, entry
+        job = _level_job(student_env, [state.params, state.antagonist], levels,
+                         [k_pro_roll, k_ant_roll])
+        return state, job, learn
 
-    return cycle
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -698,14 +687,14 @@ def _drive(config: UedConfig, master: rng_mod.Key, state: RunState, out_dir,
     cycles of this call if that comes first. With ``out_dir``, checkpoint
     the last completed cycle, also when a cycle or ``cycle_callback`` raises."""
     k_run = _master_keys(config, master)[-1]
-    cycle = {"dr": _dr_cycle, "paired": _paired_cycle}.get(config.algorithm, _replay_cycle)(config)
+    plan = {"dr": _dr_plan, "paired": _paired_plan}.get(config.algorithm, _replay_plan)(config)
     log = _open_metrics(out_dir, state.cycle)
     metrics_log = []
     try:
         while state.env_steps < config.total_env_steps and (
             max_cycles is None or len(metrics_log) < max_cycles
         ):
-            done, entry = cycle(state, rng_mod.fold_in(k_run, state.cycle))
+            done, entry = _run_cycle(config, *plan(state, rng_mod.fold_in(k_run, state.cycle)))
             done = replace(done, cycle=state.cycle + 1)
             entry = {
                 "algorithm": config.algorithm,

@@ -98,6 +98,15 @@ def test_train_bad_json_is_config_error(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_train_non_utf8_config_is_config_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"algorithm": "\xff"}')
+    assert main(["train", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config is not valid JSON")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
 def test_train_deeply_nested_json_is_config_error(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text("[" * 100000 + "]" * 100000)

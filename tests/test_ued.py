@@ -258,7 +258,7 @@ def test_on_new_levels_trains_and_inserts():
     cfg, env, state = op_setup(algorithm="plr")
     new_state, entry = on_new_levels(cfg, env, state, R.key_from_seed(1))
     assert entry["cycle_type"] == "new" and entry["trained"] is True
-    assert new_state.buffer.size == cfg.ppo.n_envs
+    assert new_state.buffer.size == entry["buffer_size"] == cfg.ppo.n_envs
     assert new_state.updates == 1
     assert new_state.env_steps == cfg.ppo.n_envs * cfg.ppo.rollout_steps
     assert params_to_bytes(new_state.params) != params_to_bytes(state.params)
@@ -270,7 +270,8 @@ def test_on_new_levels_robust_skips_training():
     assert entry["trained"] is False
     assert new_state.updates == 0
     assert params_to_bytes(new_state.params) == params_to_bytes(state.params)
-    assert new_state.buffer.size == cfg.ppo.n_envs  # still scored and stored
+    # still scored and stored
+    assert new_state.buffer.size == entry["buffer_size"] == cfg.ppo.n_envs
 
 
 def test_on_replay_levels_always_trains():
@@ -285,6 +286,7 @@ def test_on_replay_levels_always_trains():
     assert len(new_state.last_replayed) == cfg.ppo.n_envs
     # replayed slots were re-touched
     assert new_state.buffer.episode_counter > state.buffer.episode_counter
+    assert entry["buffer_size"] == state.buffer.size
 
 
 def test_on_mutate_levels_never_trains():
@@ -296,7 +298,7 @@ def test_on_mutate_levels_never_trains():
     assert entry["cycle_type"] == "mutate" and entry["trained"] is False
     assert params_to_bytes(new_state.params) == before
     assert new_state.updates == state.updates
-    assert new_state.buffer.size >= state.buffer.size
+    assert entry["buffer_size"] == new_state.buffer.size >= state.buffer.size
 
 
 def test_mutation_before_any_replay_raises():
@@ -479,8 +481,9 @@ def test_interrupted_run_resumes_exactly(tmp_path, algorithm):
 
 # Resume at every cycle: each algorithm (both scorings for the replay ones)
 # runs RESUME_CYCLES cycles over a 6-level buffer, small enough that new and
-# mutated levels start replacing buffered ones within the run. Tier-1 runs
-# two cycles of each run, spread over the grid; the rest are smoke cases.
+# mutated levels start replacing buffered ones within the run. The fast pass
+# (-m "not smoke") runs two cycles of each run, spread over the grid; the
+# rest carry the smoke marker.
 RESUME_CYCLES = 12
 RESUME_RUNS = [("dr", "maxmc"), ("paired", "maxmc")] + [
     (algorithm, scoring) for algorithm in ("plr", "plr_robust", "accel")
@@ -634,9 +637,11 @@ def test_old_run_state_with_minibatches_resumes(tmp_path):
     assert run_metrics(resumed) == run_metrics(full)[3:]
     assert params_to_bytes(resumed.params) == params_to_bytes(full.params)
 
-    bad = _with_minibatches(tmp_path / "part" / "state.json", 4, tmp_path / "bad.json")
-    with pytest.raises(UedError, match="minibatches"):
-        load_run_state(bad)
+    # Only the int 1: a bool is not a number, and the field takes an int.
+    for value in (4, True, 1.0):
+        bad = _with_minibatches(tmp_path / "part" / "state.json", value, tmp_path / "bad.json")
+        with pytest.raises(UedError, match="minibatches"):
+            load_run_state(bad)
 
 
 def test_load_run_state_round_trip(tmp_path):
