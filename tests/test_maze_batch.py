@@ -20,6 +20,7 @@ from ued_forge.env_core import (
 from ued_forge.maze import (
     A_FORWARD,
     A_LEFT,
+    A_RIGHT,
     ECH_AGENT,
     ECH_EMPTY,
     ECH_GOAL,
@@ -31,6 +32,7 @@ from ued_forge.maze import (
     empty_level,
     generate_random_level,
     parse_level,
+    shortest_path_distances,
 )
 from ued_forge.rl_core import NetConfig, PpoConfig, init_params, rollout
 from ued_forge.ued import UedConfig, train
@@ -102,6 +104,74 @@ def test_batch_marks_complete_rows_and_bad_actions():
     done = env.step(start, A_FORWARD).state  # on the goal, facing a free cell
     batch = env.batch([start, done, start, start])
     assert batch.step(np.array([A_LEFT, A_FORWARD, 3, -1])).tolist() == [False, True, True, True]
+
+
+def rotated(level):
+    """``level`` turned 90° clockwise with its agent: cell (r, c) goes to
+    (c, height - 1 - r), and each facing to the next one clockwise."""
+    def turn(rc):
+        return rc[1], level.height - 1 - rc[0]
+    return MazeLevel(level.height, level.width, np.rot90(level.walls, -1).copy(),
+                     turn(level.agent_pos), (level.agent_dir + 1) % 4, turn(level.goal_pos))
+
+
+def mirrored(level):
+    """``level`` flipped left to right: facing right and facing left swap."""
+    def flip(rc):
+        return rc[0], level.width - 1 - rc[1]
+    return MazeLevel(level.width, level.height, level.walls[:, ::-1].copy(),
+                     flip(level.agent_pos), -level.agent_dir % 4, flip(level.goal_pos))
+
+
+# Name: (level transform, distance-field transform, action map, view transform).
+SYMMETRIES = {
+    "rotated": (rotated, lambda d: np.rot90(d, -1), (A_LEFT, A_RIGHT, A_FORWARD),
+                lambda image: image),
+    "mirrored": (mirrored, lambda d: d[:, ::-1], (A_RIGHT, A_LEFT, A_FORWARD),
+                 lambda image: image[:, ::-1]),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    start=st.lists(levels(max_side=13), min_size=1, max_size=3),
+    symmetry=st.sampled_from(sorted(SYMMETRIES)),
+    view_size=st.sampled_from([1, 3, 5, 7]),
+    max_steps=st.integers(1, 12),
+    data=st.data(),
+)
+def test_symmetric_levels_play_alike(start, symmetry, view_size, max_steps, data):
+    # A rotated level's distance field is the original's rotated, and the
+    # same actions give the same views, rewards and dones; a mirrored level
+    # the same with left and right swapped and every view mirrored. Each
+    # original and its image are rows of one mixed-size batch.
+    transform, move_field, act, move_view = SYMMETRIES[symmetry]
+    images = [transform(level) for level in start]
+    for level, image in zip(start, images):
+        assert np.array_equal(shortest_path_distances(image),
+                              move_field(shortest_path_distances(level)))
+    env = MazeEnv(max_steps=max_steps, view_size=view_size)
+    n, played = len(start), start + images
+    states = [env.reset_to_level(level) for level in played]
+    batch = env.batch(states)
+    for _ in range(data.draw(st.integers(1, 16))):
+        views, _ = batch.encode()
+        for e in range(n):
+            assert np.array_equal(views[n + e], move_view(views[e]))
+            assert np.array_equal(env.observe(states[n + e]).image,
+                                  move_view(env.observe(states[e]).image))
+        actions = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        ends = batch.step(np.array(actions + [act[a] for a in actions]))
+        for e, a in enumerate(actions):
+            res, twin = env.step(states[e], a), env.step(states[n + e], act[a])
+            assert (twin.reward, twin.done) == (res.reward, res.done)
+            assert ends[e] == ends[n + e] == res.done
+            if res.done:
+                for i in (e, n + e):
+                    states[i] = env.reset_to_level(played[i])
+                    batch.set_state(i, states[i])
+            else:
+                states[e], states[n + e] = res.state, twin.state
 
 
 @st.composite
