@@ -67,7 +67,6 @@ from .maze import (
     render_level,
     save_levels,
     shortest_path_distances,
-    validate_level,
     write_ppm,
 )
 from .rl_core import (

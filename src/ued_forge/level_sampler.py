@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .maze import LevelError, MazeLevel, format_level, parse_level
+from .maze import LevelError, format_level, parse_level
 
 
 class BufferError(Exception):

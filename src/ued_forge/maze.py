@@ -90,24 +90,43 @@ class LevelError(EnvError):
 
 @dataclass(frozen=True, eq=False)
 class MazeLevel:
-    """Free parameters of one maze instance.
+    """Free parameters of one maze instance, valid by construction.
 
-    ``walls`` is a read-only bool array of shape ``(height, width)``;
-    positions are ``(row, col)`` tuples. The agent and goal always sit on
-    distinct floor cells.
+    ``walls`` is a bool array of shape ``(height, width)``, made read-only,
+    and sets ``width`` and ``height``; positions are ``(row, col)`` tuples.
+    Construction (``dataclasses.replace`` included) raises
+    :class:`LevelError` unless the agent and goal sit on distinct floor
+    cells and ``agent_dir`` is in 0..3.
     """
 
-    width: int
-    height: int
     walls: np.ndarray
     agent_pos: tuple[int, int]
     agent_dir: int
     goal_pos: tuple[int, int]
+    width: int = field(init=False)
+    height: int = field(init=False)
     # Padded class grids by border width, built on first observation.
     _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.walls.setflags(write=False)
+        walls = self.walls
+        if walls.ndim != 2 or walls.dtype != np.bool_:
+            raise LevelError(f"walls must be 2-D bool, got {walls.dtype} {walls.shape}")
+        h, w = walls.shape
+        if w <= 0 or h <= 0:
+            raise LevelError(f"non-positive dimensions {w}x{h}")
+        walls.setflags(write=False)
+        object.__setattr__(self, "width", w)
+        object.__setattr__(self, "height", h)
+        for name, (r, c) in (("agent", self.agent_pos), ("goal", self.goal_pos)):
+            if not (0 <= r < h and 0 <= c < w):
+                raise LevelError(f"{name} position {(r, c)} out of bounds")
+            if walls[r, c]:
+                raise LevelError(f"{name} position {(r, c)} is a wall cell")
+        if self.agent_pos == self.goal_pos:
+            raise LevelError("agent and goal positions coincide")
+        if not 0 <= self.agent_dir < 4:
+            raise LevelError(f"agent_dir {self.agent_dir} outside 0..3")
 
     def key(self) -> tuple:
         """Hashable identity: bit-identical walls + agent + dir + goal."""
@@ -125,26 +144,6 @@ class MazeLevel:
 
     def __hash__(self) -> int:
         return hash(self.key())
-
-
-def validate_level(level: MazeLevel) -> None:
-    """Raise :class:`LevelError` unless ``level`` satisfies its invariants."""
-    w, h = level.width, level.height
-    if w <= 0 or h <= 0:
-        raise LevelError(f"non-positive dimensions {w}x{h}")
-    if level.walls.shape != (h, w) or level.walls.dtype != np.bool_:
-        raise LevelError(
-            f"walls must be bool ({h}, {w}), got {level.walls.dtype} {level.walls.shape}"
-        )
-    for name, (r, c) in (("agent", level.agent_pos), ("goal", level.goal_pos)):
-        if not (0 <= r < h and 0 <= c < w):
-            raise LevelError(f"{name} position {(r, c)} out of bounds")
-        if level.walls[r, c]:
-            raise LevelError(f"{name} position {(r, c)} is a wall cell")
-    if level.agent_pos == level.goal_pos:
-        raise LevelError("agent and goal positions coincide")
-    if not 0 <= level.agent_dir < 4:
-        raise LevelError(f"agent_dir {level.agent_dir} outside 0..3")
 
 
 @dataclass(frozen=True)
@@ -213,7 +212,6 @@ class MazeEnv(UnderspecifiedEnv):
         return 3
 
     def reset_to_level(self, level: MazeLevel, rng=None):
-        validate_level(level)
         return MazeState(level, level.agent_pos, level.agent_dir, 0)
 
     def step(self, state: MazeState, action: int, rng=None) -> StepResult:
@@ -357,7 +355,7 @@ def empty_level(width: int = 13, height: int = 13) -> MazeLevel:
     if width * height < 2:
         raise LevelError("level needs at least two cells")
     walls = np.zeros((height, width), dtype=np.bool_)
-    return MazeLevel(width, height, walls, (0, 0), UP, (height - 1, width - 1))
+    return MazeLevel(walls, (0, 0), UP, (height - 1, width - 1))
 
 
 def generate_random_level(
@@ -381,14 +379,8 @@ def generate_random_level(
         walls.ravel()[wall_cells] = True
     free = np.flatnonzero(~walls.ravel())
     agent_cell, goal_cell = rng.choice(free, size=2, replace=False)
-    return MazeLevel(
-        width=width,
-        height=height,
-        walls=walls,
-        agent_pos=(int(agent_cell) // width, int(agent_cell) % width),
-        agent_dir=int(rng.integers(0, 4)),
-        goal_pos=(int(goal_cell) // width, int(goal_cell) % width),
-    )
+    return MazeLevel(walls, divmod(int(agent_cell), width), int(rng.integers(0, 4)),
+                     divmod(int(goal_cell), width))
 
 
 def mutate_level(
@@ -422,7 +414,7 @@ def mutate_level(
             cell = int(rng.choice(candidates))
             agent_pos = (cell // w, cell % w)
             agent_dir = int(rng.integers(0, 4))
-    return MazeLevel(w, h, walls, agent_pos, agent_dir, goal_pos)
+    return MazeLevel(walls, agent_pos, agent_dir, goal_pos)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +488,6 @@ class EditorState:
 
     level: MazeLevel
     edit_index: int
-    budget: int
 
 
 class MazeEditorEnv(UnderspecifiedEnv):
@@ -527,14 +518,13 @@ class MazeEditorEnv(UnderspecifiedEnv):
         return self.wall_budget + 2
 
     def reset_to_level(self, level: MazeLevel, rng=None):
-        validate_level(level)
         self._check_canvas(level)
-        return EditorState(level=level, edit_index=0, budget=self.wall_budget)
+        return EditorState(level=level, edit_index=0)
 
     def step(self, state: EditorState, action: int, rng: np.random.Generator):
         if not 0 <= action < self.num_actions:
             raise EnvError(f"editor action {action} out of range")
-        if state.edit_index >= state.budget + 2:
+        if state.edit_index >= self.episode_steps:
             raise EnvError("editor episode already complete")
         level = state.level
         self._check_canvas(level)
@@ -554,10 +544,8 @@ class MazeEditorEnv(UnderspecifiedEnv):
             walls = level.walls.copy()
             walls[target] = not walls[target]
             level = replace(level, walls=walls)
-        new_state = EditorState(
-            level=level, edit_index=state.edit_index + 1, budget=state.budget
-        )
-        return StepResult(new_state, 0.0, new_state.edit_index >= state.budget + 2)
+        new_state = EditorState(level=level, edit_index=state.edit_index + 1)
+        return StepResult(new_state, 0.0, new_state.edit_index >= self.episode_steps)
 
     def _check_canvas(self, level: MazeLevel) -> None:
         if (level.width, level.height) != (self.width, self.height):
@@ -583,8 +571,8 @@ class MazeEditorEnv(UnderspecifiedEnv):
 
 class MazeEditorBatch:
     """Levels of one :class:`MazeEditorEnv` under construction, as arrays:
-    flat walls (N, H*W), goal and agent cells, agent direction, edit index
-    and budget per row. Wall toggles step as whole-array ops. Placement
+    flat walls (N, H*W), goal and agent cells, agent direction and edit
+    index per row. Wall toggles step as whole-array ops. Placement
     edits (which draw from the generator), an episode's final edit, complete
     rows and invalid actions are left for :meth:`MazeEditorEnv.step`, the
     one placement rule. See :meth:`UnderspecifiedEnv.batch` for the protocol.
@@ -594,8 +582,8 @@ class MazeEditorBatch:
         self.env = env
         n = len(states)
         self.walls = np.zeros((n, env.num_actions), dtype=np.bool_)
-        self.goal, self.agent, self.dir, self.edit, self.budget = (
-            np.zeros(n, dtype=np.intp) for _ in range(5))
+        self.goal, self.agent, self.dir, self.edit = (
+            np.zeros(n, dtype=np.intp) for _ in range(4))
         for e, state in enumerate(states):
             self.set_state(e, state)
 
@@ -606,13 +594,13 @@ class MazeEditorBatch:
         cls[rows, self.goal] = ECH_GOAL
         cls[rows, self.agent] = ECH_AGENT  # over the goal, if they share a cell
         images = np.take(_EYE4, cls, axis=0).reshape(len(cls), self.env.height, self.env.width, 4)
-        return images, (self.edit / (self.budget + 2)).astype(np.float32)[:, None]
+        return images, (self.edit / self.env.episode_steps).astype(np.float32)[:, None]
 
     def step(self, actions: np.ndarray) -> np.ndarray:
         """Toggle one wall per row, except on the rows in the returned mask
         (see the class docstring), which are left as they were."""
         actions = np.asarray(actions)
-        ends = ((self.edit < 2) | (self.edit + 1 >= self.budget + 2)
+        ends = ((self.edit < 2) | (self.edit + 1 >= self.env.episode_steps)
                 | (actions < 0) | (actions >= self.walls.shape[1]))
         live = ~ends
         toggled = np.flatnonzero(live & (actions != self.agent) & (actions != self.goal))
@@ -622,9 +610,9 @@ class MazeEditorBatch:
 
     def state(self, e: int) -> EditorState:
         w, h = self.env.width, self.env.height
-        level = MazeLevel(w, h, self.walls[e].reshape(h, w).copy(), divmod(int(self.agent[e]), w),
+        level = MazeLevel(self.walls[e].reshape(h, w).copy(), divmod(int(self.agent[e]), w),
                           int(self.dir[e]), divmod(int(self.goal[e]), w))
-        return EditorState(level, int(self.edit[e]), int(self.budget[e]))
+        return EditorState(level, int(self.edit[e]))
 
     def set_state(self, e: int, state: EditorState) -> None:
         """Load ``state`` into row ``e``."""
@@ -633,7 +621,7 @@ class MazeEditorBatch:
         (gr, gc), (ar, ac), w = level.goal_pos, level.agent_pos, level.width
         self.walls[e] = level.walls.ravel()
         self.goal[e], self.agent[e], self.dir[e] = gr * w + gc, ar * w + ac, level.agent_dir
-        self.edit[e], self.budget[e] = state.edit_index, state.budget
+        self.edit[e] = state.edit_index
 
 
 # ---------------------------------------------------------------------------
@@ -731,10 +719,8 @@ def parse_level(text: str) -> MazeLevel:
     if goal < 0:
         raise LevelError("missing goal")
     walls = np.frombuffer(raw, np.uint8).reshape(height, width) == ord("#")
-    level = MazeLevel(width, height, walls, divmod(agent, width),
-                      AGENT_CHARS.index(chr(raw[agent])), divmod(goal, width))
-    validate_level(level)
-    return level
+    return MazeLevel(walls, divmod(agent, width), AGENT_CHARS.index(chr(raw[agent])),
+                     divmod(goal, width))
 
 
 def format_levels(levels) -> str:

@@ -69,14 +69,12 @@ from .maze import (
     LevelError,
     MazeEditorEnv,
     MazeEnv,
-    MazeLevel,
     MazeState,
     empty_level,
     format_level,
     generate_random_level,
     mutate_level,
     parse_level,
-    validate_level,
 )
 from .rl_core import (
     ActorCriticParams,
@@ -196,6 +194,8 @@ def ued_config_from_dict(data: dict) -> UedConfig:
     dropped, so run states written while PPO had that field still load.
     """
     try:
+        if not isinstance(data, dict):
+            raise UedError(f"config must be an object, got {type(data).__name__}")
         data = dict(data)
         ppo_data = data.pop("ppo", None)
         known = {f for f in UedConfig.__dataclass_fields__ if f != "ppo"}
@@ -204,6 +204,8 @@ def ued_config_from_dict(data: dict) -> UedConfig:
                 raise UedError(f"unknown config key: {key}")
         kwargs = dict(data)
         if ppo_data is not None:
+            if not isinstance(ppo_data, dict):
+                raise UedError(f"config ppo must be an object, got {type(ppo_data).__name__}")
             ppo_data = dict(ppo_data)
             minibatches = ppo_data.pop("minibatches", 1)
             if type(minibatches) is not int or minibatches != 1:
@@ -295,8 +297,9 @@ def planned_cycles(config: UedConfig) -> int:
 def dry_run_env_steps(config: UedConfig, n_cycles: int | None = None) -> dict:
     """The cycles and env steps of a run, without touching an environment.
 
-    Mirrors the real stopping rule: with ``n_cycles`` given, run that many
-    cycles; otherwise run until the step budget is reached.
+    With ``n_cycles`` given, that many cycles of ``steps_per_cycle`` steps,
+    with no budget cap (``train`` also stops at the budget); otherwise the
+    cycles ``train`` runs to reach the step budget.
     """
     cycles = planned_cycles(config) if n_cycles is None else max(n_cycles, 0)
     return {"cycles": cycles, "env_steps": cycles * steps_per_cycle(config)}
@@ -790,8 +793,8 @@ def _maze_state_from_dict(d: dict, config: UedConfig) -> WrappedState:
     if not 0 <= t < config.max_episode_steps:
         raise UedError(f"env state timestep {t} outside [0, {config.max_episode_steps})")
     pos = tuple(pos)
-    # The agent where the state puts it must still make a valid level.
-    validate_level(replace(inner_level, agent_pos=pos, agent_dir=direction))
+    # Raises LevelError unless the agent where the state puts it makes a valid level.
+    replace(inner_level, agent_pos=pos, agent_dir=direction)
     return WrappedState(inner=MazeState(inner_level, pos, direction, t), level=level)
 
 

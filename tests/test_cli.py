@@ -119,6 +119,20 @@ def test_train_missing_config_file(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("as_pairs", ["config", "ppo"])
+def test_train_config_of_pairs_is_config_error(tmp_path, capsys, as_pairs):
+    # A JSON array of [key, value] pairs is not a config object.
+    if as_pairs == "config":
+        pairs = list(TINY.items())
+    else:
+        pairs = dict(TINY, ppo=list(TINY["ppo"].items()))
+    out = tmp_path / "run"
+    assert main(["train", "--config", write_config(tmp_path, pairs), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be an object" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_train_invalid_value_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, dict(TINY, algorithm="sgd"))
     assert main(["train", "--config", cfg]) == 2

@@ -24,7 +24,7 @@ from ued_forge.level_sampler import (
     save_buffer,
     update_batch,
 )
-from ued_forge.maze import generate_random_level
+from ued_forge.maze import LevelError, generate_random_level, parse_level
 
 
 def levels_n(key, n, w=5, h=5):
@@ -148,6 +148,15 @@ def test_dedup_within_one_batch():
     buf = insert_batch(new_buffer(4), [lv[0], lv[0]], [0.1, 0.6])
     assert buf.size == 1
     assert buf.scores[0] == 0.6  # second occurrence updated the first
+
+
+def test_agent_on_a_wall_never_reaches_the_buffer():
+    # Such a level would save as text without that wall and load back changed.
+    level = parse_level(">.G\n...\n")
+    walls = level.walls.copy()
+    walls[level.agent_pos] = True
+    with pytest.raises(LevelError, match="is a wall cell"):
+        insert_batch(new_buffer(4), [replace(level, walls=walls)], [1.0])
 
 
 def test_insert_rejects_nonfinite_scores():

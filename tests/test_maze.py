@@ -2,6 +2,7 @@
 mutation, the text format, rendering, and the editor environment."""
 
 import heapq
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,7 +40,6 @@ from ued_forge.maze import (
     render_level,
     save_levels,
     shortest_path_distances,
-    validate_level,
     write_ppm,
 )
 
@@ -411,6 +411,50 @@ def test_parse_level_rejects_malformed(bad):
         parse_level(bad)
 
 
+def floor(text):
+    """Bool walls from rows of ``#`` and ``.``, one string per row."""
+    return np.array([[ch == "#" for ch in row] for row in text.split()])
+
+
+@pytest.mark.parametrize(
+    "walls, agent_pos, agent_dir, goal_pos, message",
+    [
+        (np.zeros(6, dtype=np.bool_), (0, 0), UP, (0, 1), "walls must be 2-D bool"),
+        (np.zeros((2, 3), dtype=np.int8), (0, 0), UP, (0, 1), "walls must be 2-D bool"),
+        (np.zeros((0, 3), dtype=np.bool_), (0, 0), UP, (0, 1), "non-positive dimensions 3x0"),
+        (floor("... ..."), (2, 0), UP, (0, 1), r"agent position \(2, 0\) out of bounds"),
+        (floor("... ..."), (0, -1), UP, (0, 1), r"agent position \(0, -1\) out of bounds"),
+        (floor("... ..."), (0, 0), UP, (0, 3), r"goal position \(0, 3\) out of bounds"),
+        (floor(".#. ..."), (0, 1), UP, (1, 1), r"agent position \(0, 1\) is a wall cell"),
+        (floor(".#. ..."), (1, 1), UP, (0, 1), r"goal position \(0, 1\) is a wall cell"),
+        (floor("... ..."), (1, 2), UP, (1, 2), "agent and goal positions coincide"),
+        (floor("... ..."), (0, 0), 4, (0, 1), "agent_dir 4 outside 0..3"),
+        (floor("... ..."), (0, 0), -1, (0, 1), "agent_dir -1 outside 0..3"),
+    ],
+    ids=["walls_1d", "walls_int", "walls_empty", "agent_row", "agent_col", "goal_col",
+         "agent_on_wall", "goal_on_wall", "same_cell", "dir_4", "dir_minus_1"],
+)
+def test_level_construction_rejects_each_fault(walls, agent_pos, agent_dir, goal_pos, message):
+    with pytest.raises(LevelError, match=message):
+        MazeLevel(walls, agent_pos, agent_dir, goal_pos)
+
+
+def test_level_takes_its_size_from_its_walls():
+    level = MazeLevel(floor("... ..."), (0, 0), RIGHT, (1, 2))
+    assert (level.width, level.height) == (3, 2)
+    assert not level.walls.flags.writeable
+    # No replace can build an invalid level, or give a size its walls lack.
+    walls = level.walls.copy()
+    walls[level.agent_pos] = True
+    with pytest.raises(LevelError, match=r"agent position \(0, 0\) is a wall cell"):
+        replace(level, walls=walls)
+    with pytest.raises(LevelError, match=r"goal position \(1, 2\) out of bounds"):
+        replace(level, walls=floor(".. .."))
+    with pytest.raises(ValueError, match="width"):
+        replace(level, width=5)
+    assert (replace(level, walls=floor("... ... ...")).height, level.height) == (3, 2)
+
+
 def reference_parse_level(text: str) -> MazeLevel:
     """The cell-by-cell scan that ``parse_level`` replaced, kept as its reference."""
     lines = [ln for ln in text.split("\n") if ln != ""]
@@ -443,9 +487,7 @@ def reference_parse_level(text: str) -> MazeLevel:
         raise LevelError("missing agent")
     if goal_pos is None:
         raise LevelError("missing goal")
-    level = MazeLevel(width, height, walls, agent_pos, agent_dir, goal_pos)
-    validate_level(level)
-    return level
+    return MazeLevel(walls, agent_pos, agent_dir, goal_pos)
 
 
 def _parse_outcome(parse, text):
@@ -639,7 +681,7 @@ def test_editor_rejects_wrong_canvas_size():
     with pytest.raises(LevelError):
         env.reset_to_level(empty_level(4, 4), None)
     with pytest.raises(LevelError, match="canvas is 4x4"):
-        env.step(EditorState(empty_level(4, 4), 2, 2), 3, R.generator(1))
+        env.step(EditorState(empty_level(4, 4), 2), 3, R.generator(1))
 
 
 def test_empty_level_is_valid_and_solvable():

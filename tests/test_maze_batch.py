@@ -49,7 +49,7 @@ def levels(draw, max_side=7):
     agent, goal = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
     walls = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     walls[[agent, goal]] = False
-    return MazeLevel(width, height, walls.reshape(height, width), divmod(agent, width),
+    return MazeLevel(walls.reshape(height, width), divmod(agent, width),
                      draw(st.integers(0, 3)), divmod(goal, width))
 
 
@@ -111,16 +111,16 @@ def rotated(level):
     (c, height - 1 - r), and each facing to the next one clockwise."""
     def turn(rc):
         return rc[1], level.height - 1 - rc[0]
-    return MazeLevel(level.height, level.width, np.rot90(level.walls, -1).copy(),
-                     turn(level.agent_pos), (level.agent_dir + 1) % 4, turn(level.goal_pos))
+    return MazeLevel(np.rot90(level.walls, -1).copy(), turn(level.agent_pos),
+                     (level.agent_dir + 1) % 4, turn(level.goal_pos))
 
 
 def mirrored(level):
     """``level`` flipped left to right: facing right and facing left swap."""
     def flip(rc):
         return rc[0], level.width - 1 - rc[1]
-    return MazeLevel(level.width, level.height, level.walls[:, ::-1].copy(),
-                     flip(level.agent_pos), -level.agent_dir % 4, flip(level.goal_pos))
+    return MazeLevel(level.walls[:, ::-1].copy(), flip(level.agent_pos),
+                     -level.agent_dir % 4, flip(level.goal_pos))
 
 
 # Name: (level transform, distance-field transform, action map, view transform).
@@ -176,25 +176,24 @@ def test_symmetric_levels_play_alike(start, symmetry, view_size, max_steps, data
 
 @st.composite
 def editor_states(draw, env):
-    """A canvas of ``env``'s size at any edit index of any budget, complete
-    episodes included."""
+    """A canvas of ``env``'s size at any edit index, complete episodes
+    included."""
     n = env.width * env.height
     agent, goal = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
     walls = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     walls[[agent, goal]] = False
-    level = MazeLevel(env.width, env.height, walls.reshape(env.height, env.width),
-                      divmod(agent, env.width), draw(st.integers(0, 3)), divmod(goal, env.width))
-    budget = draw(st.integers(0, 4))
-    return EditorState(level, draw(st.integers(0, budget + 2)), budget)
+    level = MazeLevel(walls.reshape(env.height, env.width), divmod(agent, env.width),
+                      draw(st.integers(0, 3)), divmod(goal, env.width))
+    return EditorState(level, draw(st.integers(0, env.episode_steps)))
 
 
-def reference_editor_view(state):
+def reference_editor_view(env, state):
     """The editor observation, encoded, derived without the batch."""
     level = state.level
     cls = np.where(level.walls, ECH_WALL, ECH_EMPTY)
     cls[level.goal_pos] = ECH_GOAL
     cls[level.agent_pos] = ECH_AGENT
-    progress = np.array([state.edit_index / (state.budget + 2)], dtype=np.float32)
+    progress = np.array([state.edit_index / (env.wall_budget + 2)], dtype=np.float32)
     return np.eye(4, dtype=np.float32)[cls], progress
 
 
@@ -203,7 +202,7 @@ def assert_editor_rows_match(batch, env, states):
     assert images.shape[0] == extras.shape[0] == len(states)
     for e, state in enumerate(states):
         assert batch.state(e) == state
-        image, extra = reference_editor_view(state)
+        image, extra = reference_editor_view(env, state)
         for got in ((images[e], extras[e]), env.observe(state)):
             assert got[0].dtype == image.dtype and got[0].tobytes() == image.tobytes()
             assert got[1].dtype == extra.dtype and got[1].tobytes() == extra.tobytes()
@@ -212,7 +211,8 @@ def assert_editor_rows_match(batch, env, states):
 @settings(max_examples=150, deadline=None)
 @given(shape=st.sampled_from([(1, 2), (2, 1), (3, 3), (4, 2), (5, 5)]), data=st.data())
 def test_editor_batch_rows_match_env_step(shape, data):
-    env = MazeEditorEnv(width=shape[0], height=shape[1], wall_budget=3)
+    env = MazeEditorEnv(width=shape[0], height=shape[1],
+                        wall_budget=data.draw(st.integers(0, 4)))
     n_cells = env.num_actions
     states = data.draw(st.lists(editor_states(env), min_size=1, max_size=4))
     batch = env.batch(states)
@@ -228,7 +228,7 @@ def test_editor_batch_rows_match_env_step(shape, data):
         ends = batch.step(actions)
         for e, state in enumerate(states):
             a = int(actions[e])
-            edit, budget = state.edit_index, state.budget
+            edit, budget = state.edit_index, env.wall_budget
             assert ends[e] == (edit < 2 or edit + 1 >= budget + 2 or not 0 <= a < n_cells)
             if not ends[e]:
                 res = env.step(state, a, None)  # a wall toggle draws nothing
@@ -240,7 +240,7 @@ def test_editor_batch_rows_match_env_step(shape, data):
             if edit >= budget + 2 or not 0 <= a < n_cells:
                 with pytest.raises(EnvError):
                     env.step(state, a, gen)
-                states[e] = EditorState(state.level, 0, budget)
+                states[e] = EditorState(state.level, 0)
             else:
                 res = env.step(state, a, gen)
                 assert res.done == (edit + 1 >= budget + 2)

@@ -114,7 +114,7 @@ def editor_starts(env, n_steps, gen, wrapped):
         generate_random_level(gen, env.width, env.height, 4) for _ in range(3)]
     last = env.episode_steps - 1
     edits = [0, 0, -n_steps % env.episode_steps, last if wrapped or n_steps <= 1 else 0]
-    return [EditorState(c, i, env.wall_budget) for c, i in zip(canvases, edits)]
+    return [EditorState(c, i) for c, i in zip(canvases, edits)]
 
 
 def case(name, n_steps, seed):

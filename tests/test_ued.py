@@ -775,13 +775,17 @@ def _other_net(payload):
         ("accel", {"master_key": "k"}),
         ("accel", {"master_key": -1}),
         ("accel", {"master_key": 2 ** 128}),
+        # JSON arrays of [key, value] pairs, which once loaded as objects.
+        ("accel", lambda payload: {"config": list(payload["config"].items())}),
+        ("accel", lambda payload: {"config": {
+            **payload["config"], "ppo": list(payload["config"]["ppo"].items())}}),
     ],
     ids=["params_int", "params_non_ascii", "params_bad_base64", "params_other_config",
          "antagonist_int", "adversary_list", "adversary_student_net", "buffer_int",
          "buffer_capacity", "last_replayed_int", "last_replayed_int_list",
          "last_replayed_one", "last_replayed_empty", "node",
          "cycle_negative", "cycle_str", "env_steps_float", "updates_bool", "master_key_str", "master_key_negative",
-         "master_key_too_wide"],
+         "master_key_too_wide", "config_pairs", "ppo_pairs"],
 )
 def test_load_run_state_rejects_bad_fields(tmp_path, algorithm, change):
     # Each of these once loaded with an untyped error, or loaded and then
