@@ -414,15 +414,11 @@ def _run_cycle(config: UedConfig, state: RunState, job, learn):
 
 
 def _level_job(env, policies: list, levels, keys: list):
-    """The rollout job of ``policies`` on ``levels``: for each policy's key,
-    one env reset per level, and the rest of the key for its rollout."""
-    states, roll_keys = [], []
-    for key in keys:
-        k_reset, k_roll = rng_mod.split(key)
-        roll_keys.append(k_roll)
-        states += [env.reset_to_level(level, rng_mod.generator(k))
-                   for level, k in zip(levels, rng_mod.split(k_reset, len(levels)))]
-    return env, policies, states, roll_keys
+    """The rollout job of ``policies`` on ``levels``: for each policy, one env
+    reset per level, which draws nothing, and the second half of its key's
+    split for its rollout."""
+    states = [env.reset_to_level(level, None) for _ in policies for level in levels]
+    return env, policies, states, [rng_mod.split(key)[1] for key in keys]
 
 
 def _plan_levels(config: UedConfig, env, state: RunState, op: str, key: rng_mod.Key):
@@ -493,13 +489,15 @@ def on_mutate_levels(config: UedConfig, env, state: RunState, key: rng_mod.Key):
     return _run_cycle(config, *_plan_levels(config, env, state, OP_MUTATE, key))
 
 
+def _student_maze(config: UedConfig) -> MazeEnv:
+    return MazeEnv(max_steps=config.max_episode_steps, view_size=config.view_size)
+
+
 def _dr_env(config: UedConfig) -> AutoResetWrapper:
     """The ``dr`` student env: a maze that resets to a fresh random level."""
     def fresh_level(gen):
         return generate_random_level(gen, config.width, config.height, config.max_walls)
-    return AutoResetWrapper(
-        MazeEnv(max_steps=config.max_episode_steps, view_size=config.view_size), fresh_level
-    )
+    return AutoResetWrapper(_student_maze(config), fresh_level)
 
 
 def _dr_plan(config: UedConfig):
@@ -520,9 +518,7 @@ def _dr_plan(config: UedConfig):
 
 def _replay_plan(config: UedConfig):
     """The automaton picks each cycle's operation; ``_plan_levels`` plans it."""
-    env = AutoReplayWrapper(
-        MazeEnv(max_steps=config.max_episode_steps, view_size=config.view_size)
-    )
+    env = AutoReplayWrapper(_student_maze(config))
     p = config.resolved_replay_prob
     q = config.resolved_mutation_prob
     # At least one level even at min_fill_ratio 0: an empty buffer cannot be replayed.
@@ -557,9 +553,7 @@ def _regret(pro_traj: Trajectory, ant_traj: Trajectory, gamma: float | None):
 def _paired_plan(config: UedConfig):
     """The adversary builds the levels; both students play them in one
     rollout, and all three networks learn from it."""
-    student_env = AutoReplayWrapper(
-        MazeEnv(max_steps=config.max_episode_steps, view_size=config.view_size)
-    )
+    student_env = AutoReplayWrapper(_student_maze(config))
     editor_env = MazeEditorEnv(
         width=config.width, height=config.height, wall_budget=config.wall_budget
     )
@@ -622,14 +616,10 @@ def metrics_line(entry: dict) -> str:
 
 
 @dataclass
-class TrainResult:
-    params: ActorCriticParams            # the evaluated policy
-    metrics: list
-    env_steps: int
-    updates: int
-    buffer: LevelBuffer | None = None
-    antagonist: ActorCriticParams | None = None
-    adversary: ActorCriticParams | None = None
+class TrainResult(RunState):
+    """The state a run ended in, plus the metrics lines of this call."""
+
+    metrics: list = field(default_factory=list)
 
 
 def _run_networks(config: UedConfig) -> dict:
@@ -719,11 +709,7 @@ def _drive(config: UedConfig, master: rng_mod.Key, state: RunState, out_dir,
             log.close()
         if out_dir is not None:
             _save_run(out_dir, config, master, state)
-    return TrainResult(
-        params=state.params, metrics=metrics_log, env_steps=state.env_steps,
-        updates=state.updates, buffer=state.buffer, antagonist=state.antagonist,
-        adversary=state.adversary,
-    )
+    return TrainResult(**vars(state), metrics=metrics_log)
 
 
 def train(

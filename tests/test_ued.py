@@ -438,6 +438,29 @@ def test_resume_matches_uninterrupted(tmp_path, algorithm):
     assert resumed.env_steps == full.env_steps
 
 
+@pytest.mark.parametrize("algorithm", ["dr", "accel", "paired"])
+def test_train_result_is_the_saved_run_state(tmp_path, algorithm):
+    res = train(tiny_config(algorithm=algorithm), seed=2, out_dir=str(tmp_path), max_cycles=4)
+    saved = load_run_state(tmp_path / "state.json")
+    assert isinstance(res, RunState) and len(res.metrics) == 4
+    for name in ("cycle", "env_steps", "updates", "node"):
+        assert getattr(res, name) == saved.get(name), name
+    for name in ("params", "antagonist", "adversary"):
+        if name in saved:
+            assert params_to_bytes(getattr(res, name)) == params_to_bytes(saved[name]), name
+        else:
+            assert getattr(res, name) is None, name
+    if algorithm == "accel":
+        assert buffer_to_text(res.buffer) == buffer_to_text(saved["buffer"])
+    else:
+        assert res.buffer is None and "buffer" not in saved
+    assert [ued._maze_state_to_dict(s) for s in res.env_states or ()] == [
+        ued._maze_state_to_dict(s) for s in saved.get("env_states", ())]
+    assert [format_level(lv) for lv in res.last_replayed or ()] == [
+        format_level(lv) for lv in saved.get("last_replayed", ())]
+    assert (algorithm == "accel") == bool(res.last_replayed)
+
+
 def test_resume_into_same_dir_continues_metrics(tmp_path):
     cfg = tiny_config(algorithm="accel", total_env_steps=5 * steps_per_cycle(tiny_config()))
     full, run = tmp_path / "full", tmp_path / "run"
@@ -547,6 +570,21 @@ def counting(calls, fn):
         calls[fn.__name__] += 1
         return fn(*args, **kwargs)
     return wrapped
+
+
+def test_level_job_resets_without_generators(monkeypatch):
+    env = AutoReplayWrapper(MazeEnv(max_steps=10, view_size=3))
+    levels = [parse_level("^.G\n...\n"), parse_level("G..\n.#>\n")]
+    keys = [R.key_from_seed(1), R.key_from_seed(2)]
+    calls = collections.Counter()
+    monkeypatch.setattr(R, "generator", counting(calls, R.generator))
+    job_env, policies, states, roll_keys = ued._level_job(env, ["pro", "ant"], levels, keys)
+    assert calls["generator"] == 0
+    assert job_env is env and policies == ["pro", "ant"]
+    assert [s.level for s in states] == levels * 2
+    assert [s.inner for s in states] == [env.env.reset_to_level(lv) for lv in levels] * 2
+    # The rollout keys have not moved: each is the second half of its key's split.
+    assert roll_keys == [R.split(k)[1] for k in keys]
 
 
 @pytest.mark.parametrize("algorithm, n_rollouts, n_gaes",
