@@ -162,11 +162,15 @@ def _cmd_render(args) -> int:
     levels = _load_level_files(args.levels)
     if levels is None:
         return 1
-    os.makedirs(args.out, exist_ok=True)
-    for i, level in enumerate(levels):
-        path = os.path.join(args.out, f"level_{i:03d}.ppm")
-        write_ppm(render_level(level, cell_px=args.cell_px), path)
-        print(path)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        for i, level in enumerate(levels):
+            path = os.path.join(args.out, f"level_{i:03d}.ppm")
+            write_ppm(render_level(level, cell_px=args.cell_px), path)
+            print(path)
+    except OSError as exc:
+        print(f"error: cannot write images: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

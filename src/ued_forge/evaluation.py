@@ -179,6 +179,10 @@ def evaluate(
         raise TypeError(f"episodes must be an integer, not {type(episodes).__name__}")
     if episodes < 1:
         raise ValueError("episodes must be at least 1")
+    if isinstance(key, bool) or not isinstance(key, numbers.Integral):
+        raise TypeError(f"key must be an integer, not {type(key).__name__}")
+    if not rng_mod.is_key(int(key)):
+        raise ValueError(f"key must lie in [0, 2**128), got {key}")
     solve = np.zeros(len(levels), dtype=np.float64)
     rets = np.zeros(len(levels), dtype=np.float64)
     for i, (level, k_level) in enumerate(zip(levels, rng_mod.split(key, len(levels)))):

@@ -665,10 +665,15 @@ def _open_metrics(out_dir: str | None, cycle: int):
     kept = []
     if cycle and os.path.exists(path):
         with open(path, "r", encoding="utf-8") as fh:
-            try:
-                kept = [line for line in fh if json.loads(line)["cycle"] <= cycle]
-            except (KeyError, TypeError, ValueError, RecursionError) as exc:
-                raise UedError(f"cannot extend {path}: {exc}") from exc
+            for line in fh:
+                try:
+                    entry = json.loads(line)
+                    if entry["cycle"] <= cycle:
+                        kept.append(line)
+                except (KeyError, TypeError, ValueError, RecursionError) as exc:
+                    # A last line cut mid-write (no newline, no JSON) is past every checkpoint.
+                    if line.endswith("\n") or isinstance(exc, (KeyError, TypeError)):
+                        raise UedError(f"cannot extend {path}: {exc}") from exc
     fh = open(path, "w", encoding="utf-8", newline="\n")
     fh.writelines(kept)
     return fh
@@ -849,6 +854,10 @@ def load_run_state(path) -> dict:
     out["config"] = config
     for name, net_config in nets.items():
         out[name] = _unb64(payload[name], net_config, name)
+    if out["env_steps"] != out["cycle"] * steps_per_cycle(config):
+        raise UedError(f"env_steps {out['env_steps']} != cycle * {steps_per_cycle(config)}")
+    if out["updates"] != sum(out[name].updates for name in nets):
+        raise UedError(f"updates {out['updates']} is not the sum of its networks' updates")
     if replay:
         if payload["node"] not in (NODE_A, NODE_B):
             raise UedError(f"unknown automaton node {payload['node']!r}")

@@ -256,6 +256,18 @@ def test_render_writes_ppm_files(tmp_path, capsys):
     assert head == b"P6"
 
 
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under_a_file"])
+def test_render_out_over_a_file_is_one_error_line(tmp_path, capsys, sub):
+    # These once ended in a FileExistsError or NotADirectoryError traceback.
+    path, _ = write_level_file(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["render", "--levels", path, "--out", str(taken / sub)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write images:")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
 def test_render_rejects_bad_cell_px(tmp_path):
     path, _ = write_level_file(tmp_path)
     assert main(["render", "--levels", path, "--out", str(tmp_path / "x"),

@@ -218,6 +218,23 @@ def test_evaluate_input_validation():
     assert report.n_episodes == 2 and len(calls) == 2 * 4
 
 
+@pytest.mark.parametrize("key, error", [(1.5, TypeError), (True, TypeError), ("a", TypeError),
+                                        (-1, ValueError), (2 ** 128, ValueError)],
+                         ids=["float", "bool", "str", "negative", "too_wide"])
+def test_evaluate_rejects_bad_keys(key, error):
+    # 1.5 and True once evaluated as key 1; the others ended in a bare
+    # OverflowError or ValueError from the key derivation.
+    with pytest.raises(error, match="key"):
+        evaluate(MazeEnv(max_steps=10), oracle_policy(), [STRAIGHT], key=key)
+
+
+def test_evaluate_takes_numpy_integer_keys():
+    env = MazeEnv(max_steps=20)
+    policy = network_policy(student_params(), env, sample=True)
+    a, b = (evaluate(env, policy, [STRAIGHT], episodes=3, key=k) for k in (np.uint64(7), 7))
+    assert np.array_equal(a.mean_returns, b.mean_returns)
+
+
 # ---------------------------------------------------------------------------
 # The network policy's per-level memo
 # ---------------------------------------------------------------------------

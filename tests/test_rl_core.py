@@ -221,7 +221,8 @@ def test_ppo_loss_grads_match_fd(cfg):
     assert rel_err(grad, fd_grad(loss_of, p.flat())) < 1e-4
 
 
-def test_ppo_loss_value_clip_branch_matches_fd():
+@pytest.mark.parametrize("value_clip", [True, False], ids=["clipped", "unclipped"])
+def test_ppo_loss_value_clip_branch_matches_fd(value_clip):
     gen = R.generator(R.key_from_seed(6))
     p = make_params(MLP64, 2)
     feat, acts, old_logp, _, adv, targets = random_batch(MLP64, gen)
@@ -229,7 +230,7 @@ def test_ppo_loss_value_clip_branch_matches_fd():
     # old values far below current: clipped branch active for half the batch
     old_values = values - np.where(np.arange(len(values)) % 2 == 0, 1.0, 0.0)
     batch = (feat, acts, old_logp, old_values, adv, targets)
-    ppo = PpoConfig(ent_coeff=0.0)
+    ppo = PpoConfig(ent_coeff=0.0, value_clip=value_clip)
 
     def loss_of(vec):
         stats, _ = _ppo_loss_grads(p.with_flat(vec), batch, ppo)

@@ -241,6 +241,18 @@ def test_episode_returns_per_env_discounting():
     assert disc.env_ids.tolist() == [0, 0, 1]
 
 
+def test_regret_hand_case_with_gamma():
+    # The path discounted_regret=True takes: every return discounts from its episode's start.
+    pro = traj_from_arrays(np.array([[0.0, 0.3], [1.0, 0.0], [0.5, 0.0]]), np.zeros((3, 2)),
+                           np.array([[False, True], [True, False], [True, False]]), np.zeros(2))
+    ant = traj_from_arrays(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]), np.zeros((3, 2)),
+                           np.array([[False, False], [False, False], [True, False]]), np.zeros(2))
+    # env 0: the antagonist's 0.5**2 less the protagonist's mean(0.5, 0.5);
+    # env 1: no antagonist episode, so 0 less 0.3.
+    assert np.allclose(ued._regret(pro, ant, 0.5), [-0.25, -0.3])
+    assert np.allclose(ued._regret(pro, ant, None), [1.0 - 0.75, -0.3])
+
+
 # ---------------------------------------------------------------------------
 # Cycle operations
 # ---------------------------------------------------------------------------
@@ -459,6 +471,21 @@ def test_train_result_is_the_saved_run_state(tmp_path, algorithm):
     assert [format_level(lv) for lv in res.last_replayed or ()] == [
         format_level(lv) for lv in saved.get("last_replayed", ())]
     assert (algorithm == "accel") == bool(res.last_replayed)
+
+
+def test_resume_drops_a_metrics_line_cut_mid_write(tmp_path):
+    # A cut last line once made the resume that would drop it raise UedError.
+    cfg = tiny_config()
+    run, full, snap = tmp_path / "run", tmp_path / "full", tmp_path / "snap.json"
+    train(cfg, seed=0, out_dir=str(full), max_cycles=3)
+    train(cfg, seed=0, out_dir=str(run), max_cycles=2)
+    os.replace(run / "state.json", snap)
+    resume_run(snap, out_dir=str(run), max_cycles=2)
+    last = (run / "metrics.jsonl").read_bytes().splitlines()[-1]
+    with open(run / "metrics.jsonl", "ab") as fh:
+        fh.write(last[:40])
+    resume_run(snap, out_dir=str(run), max_cycles=1)
+    assert run_files(run) == run_files(full)
 
 
 def test_resume_into_same_dir_continues_metrics(tmp_path):
@@ -810,6 +837,10 @@ def _other_net(payload):
         ("accel", {"cycle": "x"}),
         ("accel", {"env_steps": 1.5}),
         ("accel", {"updates": True}),
+        ("accel", lambda payload: {"cycle": payload["cycle"] + 1}),
+        ("accel", lambda payload: {"env_steps": payload["env_steps"] + steps_per_cycle(
+            ued_config_from_dict(payload["config"]))}),
+        ("accel", lambda payload: {"updates": payload["updates"] + 1}),
         ("accel", {"master_key": "k"}),
         ("accel", {"master_key": -1}),
         ("accel", {"master_key": 2 ** 128}),
@@ -822,7 +853,8 @@ def _other_net(payload):
          "antagonist_int", "adversary_list", "adversary_student_net", "buffer_int",
          "buffer_capacity", "last_replayed_int", "last_replayed_int_list",
          "last_replayed_one", "last_replayed_empty", "node",
-         "cycle_negative", "cycle_str", "env_steps_float", "updates_bool", "master_key_str", "master_key_negative",
+         "cycle_negative", "cycle_str", "env_steps_float", "updates_bool", "cycle_ahead",
+         "env_steps_ahead", "updates_ahead", "master_key_str", "master_key_negative",
          "master_key_too_wide", "config_pairs", "ppo_pairs"],
 )
 def test_load_run_state_rejects_bad_fields(tmp_path, algorithm, change):
