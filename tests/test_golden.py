@@ -5,7 +5,8 @@ Every tiny case trains 3 cycles into one directory and resumes the saved run
 into a fresh directory for the remaining 2 cycles of its budget. Every
 paper-size case trains 4 cycles of the default config (13x13, T = 256,
 N = 32, hidden 32) into one directory, which pins B = 8,192 products, the
-13x13 canvas, the 5x5 view and the 169-action adversary. The
+13x13 canvas, the 5x5 view and the 169-action adversary. The full-buffer
+case resumes that ``accel`` run from a full 4,000-level buffer. The
 SHA-256 of every file written is pinned, so a refactor that changes any
 number, any metrics line or any checkpoint byte fails here. On a mismatch
 the assertion message lists the observed digests and the platform: the
@@ -22,6 +23,9 @@ import os
 import numpy as np
 import pytest
 
+from ued_forge import rng
+from ued_forge.level_sampler import LevelBuffer, buffer_from_text, buffer_to_text
+from ued_forge.maze import generate_random_level
 from ued_forge.rl_core import PpoConfig
 from ued_forge.ued import UedConfig, resume_run, steps_per_cycle, train
 
@@ -260,4 +264,52 @@ def test_paper_size_golden_digests(tmp_path, algorithm):
     train(paper_config(algorithm), seed=PAPER_SEED, out_dir=str(tmp_path), max_cycles=4)
     got = _digests(str(tmp_path))
     assert got == PAPER_GOLDEN[algorithm], (
+        f"on {platform()}:\n" + json.dumps(got, indent=4, sort_keys=True))
+
+
+# The paper-size accel run of PAPER_GOLDEN, its buffer swapped for a full one
+# of 4,000 distinct random levels at seeded scores and max_return extras, then
+# resumed for 5 cycles (new, new, new, replay, mutate), so that both insert
+# paths replace minimum-score entries of a full buffer.
+FULL_BUFFER_CYCLES = 5
+FULL_BUFFER_GOLDEN = {
+    "buffer.txt":
+        "80f7ac60181c13aa40ed8c8c889cb1ea5132820d7b4c77307827314062f901fb",
+    "metrics.jsonl":
+        "d9c9e0110b9059bfcf7af957c140747f295a708b3afa3f5b987a7d948c1c5c80",
+    "params.bin":
+        "b30ac742c6c221a1c3c76ce59b0f223f77b08a1279ff9b8eb54a07364c097dc2",
+    "state.json":
+        "e60febab2f97ebfeeacb7b4910162c9d06a553ad238ca6d8a3224e1bf8802ca1",
+}
+
+
+def full_buffer(capacity: int, episode_counter: int) -> LevelBuffer:
+    gen = rng.generator(rng.key_from_seed(PAPER_SEED))
+    levels = {}
+    while len(levels) < capacity:
+        level = generate_random_level(gen, 13, 13, 25)
+        levels.setdefault(level.key(), level)
+    return LevelBuffer(capacity=capacity, levels=tuple(levels.values()),
+                       scores=gen.random(capacity),
+                       last_touched=np.zeros(capacity, dtype=np.int64),
+                       extras=tuple({"max_return": float(r)} for r in gen.random(capacity)),
+                       episode_counter=episode_counter)
+
+
+def test_full_buffer_golden_digests(tmp_path):
+    part, rest = tmp_path / "part", tmp_path / "rest"
+    train(paper_config("accel"), seed=PAPER_SEED, out_dir=str(part), max_cycles=4)
+    payload = json.loads((part / "state.json").read_text())
+    seeded = full_buffer(4000, buffer_from_text(payload["buffer"]).episode_counter)
+    payload["buffer"] = buffer_to_text(seeded)
+    full = tmp_path / "full.json"
+    full.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    res = resume_run(full, out_dir=str(rest), max_cycles=FULL_BUFFER_CYCLES)
+    assert [m["cycle_type"] for m in res.metrics] == ["new"] * 3 + ["replay", "mutate"]
+    kept = {level.key() for level in seeded.levels}
+    assert res.buffer.size == 4000
+    assert sum(level.key() not in kept for level in res.buffer.levels) > 0
+    got = _digests(str(rest))
+    assert got == FULL_BUFFER_GOLDEN, (
         f"on {platform()}:\n" + json.dumps(got, indent=4, sort_keys=True))
