@@ -47,7 +47,7 @@ import base64
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -196,13 +196,11 @@ def ued_config_from_dict(data: dict) -> UedConfig:
     try:
         if not isinstance(data, dict):
             raise UedError(f"config must be an object, got {type(data).__name__}")
-        data = dict(data)
-        ppo_data = data.pop("ppo", None)
-        known = {f for f in UedConfig.__dataclass_fields__ if f != "ppo"}
-        for key in data:
-            if key not in known:
-                raise UedError(f"unknown config key: {key}")
         kwargs = dict(data)
+        ppo_data = kwargs.pop("ppo", None)
+        for key in kwargs:
+            if key not in UedConfig.__dataclass_fields__:
+                raise UedError(f"unknown config key: {key}")
         if ppo_data is not None:
             if not isinstance(ppo_data, dict):
                 raise UedError(f"config ppo must be an object, got {type(ppo_data).__name__}")
@@ -210,9 +208,8 @@ def ued_config_from_dict(data: dict) -> UedConfig:
             minibatches = ppo_data.pop("minibatches", 1)
             if type(minibatches) is not int or minibatches != 1:
                 raise UedError("ppo.minibatches must be 1 (PPO runs on the full batch)")
-            ppo_known = set(PpoConfig.__dataclass_fields__)
             for key in ppo_data:
-                if key not in ppo_known:
+                if key not in PpoConfig.__dataclass_fields__:
                     raise UedError(f"unknown config key: ppo.{key}")
             kwargs["ppo"] = PpoConfig(**ppo_data)
         return UedConfig(**kwargs)
@@ -344,12 +341,13 @@ def _score_trajectory(
 
 @dataclass
 class RunState:
-    """Everything a training cycle reads and a run checkpoint stores.
+    """Everything a training cycle reads and a run checkpoint stores, as
+    ``load_run_state`` returns it.
 
     ``params`` is the evaluated policy (the protagonist under ``paired``).
     ``env_states`` is set only for ``dr``; ``buffer``, ``node`` and
-    ``last_replayed`` only for the replay algorithms; ``antagonist`` and
-    ``adversary`` only for ``paired``.
+    ``last_replayed`` (None before the first replay) only for the replay
+    algorithms; ``antagonist`` and ``adversary`` only for ``paired``.
     """
 
     params: ActorCriticParams
@@ -657,22 +655,23 @@ def init_run_state(config: UedConfig, master: rng_mod.Key) -> RunState:
 
 def _open_metrics(out_dir: str | None, cycle: int):
     """``metrics.jsonl`` in ``out_dir``, keeping the lines of cycles up to
-    ``cycle`` (where a resumed run starts) and open to append after them."""
+    ``cycle`` (where a resumed run starts), each with its newline, and open
+    to append after them."""
     if out_dir is None:
         return None
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "metrics.jsonl")
     kept = []
     if cycle and os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             for line in fh:
                 try:
-                    entry = json.loads(line)
-                    if entry["cycle"] <= cycle:
-                        kept.append(line)
+                    text = line.decode("utf-8")
+                    if json.loads(text)["cycle"] <= cycle:
+                        kept.append(text.rstrip("\r\n") + "\n")
                 except (KeyError, TypeError, ValueError, RecursionError) as exc:
                     # A last line cut mid-write (no newline, no JSON) is past every checkpoint.
-                    if line.endswith("\n") or isinstance(exc, (KeyError, TypeError)):
+                    if line.endswith(b"\n") or isinstance(exc, (KeyError, TypeError)):
                         raise UedError(f"cannot extend {path}: {exc}") from exc
     fh = open(path, "w", encoding="utf-8", newline="\n")
     fh.writelines(kept)
@@ -740,6 +739,7 @@ def train(
 # ---------------------------------------------------------------------------
 
 _STATE_VERSION = 1
+_COUNTERS = ("cycle", "env_steps", "updates")  # the RunState ints a run state stores
 
 
 def _unb64(text: str, net_config: NetConfig, name: str) -> ActorCriticParams:
@@ -793,14 +793,8 @@ def _save_run(out_dir: str, config: UedConfig, master: rng_mod.Key, state: RunSt
     """Write ``state.json``, which alone resumes the run, and each network
     (``<name>.bin``) and the buffer (``buffer.txt``) that the state holds as
     a file of its own. Each is serialized once, for both places."""
-    payload = {
-        "version": _STATE_VERSION,
-        "config": ued_config_to_dict(config),
-        "master_key": master,
-        "cycle": state.cycle,
-        "env_steps": state.env_steps,
-        "updates": state.updates,
-    }
+    payload = {"version": _STATE_VERSION, "config": ued_config_to_dict(config),
+               "master_key": master, **{name: getattr(state, name) for name in _COUNTERS}}
     files = {}
     for name in _run_networks(config):
         files[f"{name}.bin"] = params_to_bytes(getattr(state, name))
@@ -825,8 +819,9 @@ def _save_run(out_dir: str, config: UedConfig, master: rng_mod.Key, state: RunSt
         os.replace(path + ".tmp", path)
 
 
-def load_run_state(path) -> dict:
-    """Parsed run-state checkpoint with params decoded and config rebuilt."""
+def load_run_state(path) -> tuple[UedConfig, rng_mod.Key, RunState]:
+    """The config, master key and ``RunState`` of a run-state checkpoint,
+    each field checked as it is decoded."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -836,56 +831,52 @@ def load_run_state(path) -> dict:
         raise UedError("run state must be a JSON object")
     if payload.get("version") != _STATE_VERSION:
         raise UedError(f"unsupported run state version {payload.get('version')}")
-    for required in ("config", "params", "master_key", "cycle", "env_steps", "updates"):
-        if required not in payload:
-            raise UedError(f"run state missing field {required!r}")
-    config = ued_config_from_dict(payload["config"])
+
+    def get(name):
+        if name not in payload:
+            raise UedError(f"run state missing field {name!r}")
+        return payload[name]
+
+    config, master = ued_config_from_dict(get("config")), get("master_key")
+    if not rng_mod.is_key(master):
+        raise UedError(f"master_key must be an int in [0, 2**128), got {master!r}")
+    counts = {name: get(name) for name in _COUNTERS}
+    for name, value in counts.items():
+        if type(value) is not int or value < 0:
+            raise UedError(f"{name} must be a non-negative int, got {value!r}")
     nets = _run_networks(config)
-    replay = config.algorithm not in ("dr", "paired")
-    for required in (*nets, *(("buffer", "node") if replay else ())):
-        if required not in payload:
-            raise UedError(f"{config.algorithm} run state missing field {required!r}")
-    for name in ("cycle", "env_steps", "updates"):
-        if type(payload[name]) is not int or payload[name] < 0:
-            raise UedError(f"{name} must be a non-negative int, got {payload[name]!r}")
-    if not rng_mod.is_key(payload["master_key"]):
-        raise UedError(f"master_key must be an int in [0, 2**128), got {payload['master_key']!r}")
-    out = {k: payload[k] for k in ("master_key", "cycle", "env_steps", "updates")}
-    out["config"] = config
-    for name, net_config in nets.items():
-        out[name] = _unb64(payload[name], net_config, name)
-    if out["env_steps"] != out["cycle"] * steps_per_cycle(config):
-        raise UedError(f"env_steps {out['env_steps']} != cycle * {steps_per_cycle(config)}")
-    if out["updates"] != sum(out[name].updates for name in nets):
-        raise UedError(f"updates {out['updates']} is not the sum of its networks' updates")
-    if replay:
-        if payload["node"] not in (NODE_A, NODE_B):
-            raise UedError(f"unknown automaton node {payload['node']!r}")
-        out["node"] = payload["node"]
-        try:
-            out["buffer"] = buffer_from_text(payload["buffer"])
-            if payload.get("last_replayed") is not None:
-                out["last_replayed"] = tuple(parse_level(t) for t in payload["last_replayed"])
-        except (AttributeError, TypeError, BufferError, LevelError) as exc:
-            raise UedError(f"bad buffer or last_replayed levels: {exc}") from exc
-        if out["buffer"].capacity != config.buffer_capacity:
-            raise UedError(f"buffer capacity {out['buffer'].capacity} does not match "
-                           f"config buffer_capacity {config.buffer_capacity}")
-        _check_level_sizes(out["buffer"].levels, config, "buffer")
-        last = out.get("last_replayed")
-        if last is not None and len(last) != config.ppo.n_envs:
-            raise UedError(f"run state has {len(last)} last_replayed levels, "
-                           f"config has n_envs {config.ppo.n_envs}")
-        _check_level_sizes(last or (), config, "last_replayed")
+    state = RunState(**counts, **{name: _unb64(get(name), net, name) for name, net in nets.items()})
+    if state.env_steps != state.cycle * steps_per_cycle(config):
+        raise UedError(f"env_steps {state.env_steps} != cycle * {steps_per_cycle(config)}")
+    if state.updates != sum(getattr(state, name).updates for name in nets):
+        raise UedError(f"updates {state.updates} is not the sum of its networks' updates")
     if config.algorithm == "dr":
         try:
-            out["env_states"] = [_maze_state_from_dict(d, config) for d in payload["env_states"]]
+            state.env_states = [_maze_state_from_dict(d, config) for d in get("env_states")]
         except (AttributeError, KeyError, TypeError, LevelError) as exc:
             raise UedError(f"bad env state: {exc}") from exc
-        if len(out["env_states"]) != config.ppo.n_envs:
-            raise UedError(f"run state has {len(out['env_states'])} env states, "
+        if len(state.env_states) != config.ppo.n_envs:
+            raise UedError(f"run state has {len(state.env_states)} env states, "
                            f"config has n_envs {config.ppo.n_envs}")
-    return out
+    elif config.algorithm != "paired":
+        state.node = get("node")
+        if state.node not in (NODE_A, NODE_B):
+            raise UedError(f"unknown automaton node {state.node!r}")
+        try:
+            state.buffer = buffer_from_text(get("buffer"))
+            last = get("last_replayed")
+            state.last_replayed = None if last is None else tuple(map(parse_level, last))
+        except (AttributeError, TypeError, BufferError, LevelError) as exc:
+            raise UedError(f"bad buffer or last_replayed levels: {exc}") from exc
+        if state.buffer.capacity != config.buffer_capacity:
+            raise UedError(f"buffer capacity {state.buffer.capacity} does not match "
+                           f"config buffer_capacity {config.buffer_capacity}")
+        _check_level_sizes(state.buffer.levels, config, "buffer")
+        if state.last_replayed is not None and len(state.last_replayed) != config.ppo.n_envs:
+            raise UedError(f"run state has {len(state.last_replayed)} last_replayed levels, "
+                           f"config has n_envs {config.ppo.n_envs}")
+        _check_level_sizes(state.last_replayed or (), config, "last_replayed")
+    return config, master, state
 
 
 def resume_run(state_path, out_dir=None, cycle_callback=None,
@@ -897,7 +888,4 @@ def resume_run(state_path, out_dir=None, cycle_callback=None,
     Resuming into the run's own directory keeps the metrics lines up to the
     checkpoint's cycle and appends after them.
     """
-    loaded = load_run_state(state_path)
-    state = RunState(**{f.name: loaded.get(f.name) for f in fields(RunState)})
-    return _drive(loaded["config"], loaded["master_key"], state, out_dir,
-                  cycle_callback, max_cycles)
+    return _drive(*load_run_state(state_path), out_dir, cycle_callback, max_cycles)

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from ued_forge.level_sampler import BufferError, buffer_from_text
 from ued_forge.maze import LevelError, format_level, parse_level
 from ued_forge.rl_core import PpoConfig
-from ued_forge.ued import UedConfig, UedError, load_run_state, train, ued_config_from_dict
+from ued_forge.ued import (UedConfig, UedError, _save_run, load_run_state, train,
+                           ued_config_from_dict)
 
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
@@ -141,9 +142,17 @@ def test_load_run_state_fuzz(run_states, tmp_path_factory, data):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
     try:
-        loaded = load_run_state(path)
+        config, master, state = load_run_state(path)
     except UedError:
         return
     for name in ("cycle", "env_steps", "updates"):
-        assert type(loaded[name]) is int and loaded[name] >= 0
-    assert type(loaded["master_key"]) is int and 0 <= loaded["master_key"] < 2 ** 128
+        assert type(getattr(state, name)) is int and getattr(state, name) >= 0
+    assert type(master) is int and 0 <= master < 2 ** 128
+    # What loads saves, loads again, and saves the same bytes.
+    saves = []
+    for _ in range(2):
+        out = tmp_path_factory.mktemp("fuzz_save")
+        _save_run(str(out), config, master, state)
+        saves.append({f.name: f.read_bytes() for f in out.iterdir()})
+        config, master, state = load_run_state(out / "state.json")
+    assert saves[0] == saves[1]

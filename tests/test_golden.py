@@ -285,6 +285,8 @@ FULL_BUFFER_GOLDEN = {
 
 
 def full_buffer(capacity: int, episode_counter: int) -> LevelBuffer:
+    """``capacity`` distinct random 13x13 levels, never touched, with seeded
+    scores and ``max_return`` extras."""
     gen = rng.generator(rng.key_from_seed(PAPER_SEED))
     levels = {}
     while len(levels) < capacity:

@@ -6,14 +6,14 @@ import collections
 import json
 import os
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from ued_forge import level_sampler, rl_core, ued
 from ued_forge import rng as R
-from ued_forge.env_core import AutoReplayWrapper
+from ued_forge.env_core import AutoReplayWrapper, WrappedState
 from ued_forge.level_sampler import buffer_from_text, buffer_to_text, new_buffer
 from ued_forge.maze import MazeEnv, format_level, parse_level
 from ued_forge.rl_core import PpoConfig, episode_returns, init_params, params_to_bytes
@@ -450,27 +450,29 @@ def test_resume_matches_uninterrupted(tmp_path, algorithm):
     assert resumed.env_steps == full.env_steps
 
 
+def _comparable(value):
+    """A ``RunState`` field in a form that ``==`` compares by content."""
+    if isinstance(value, rl_core.ActorCriticParams):
+        return params_to_bytes(value)
+    if isinstance(value, level_sampler.LevelBuffer):
+        return buffer_to_text(value)
+    if isinstance(value, (list, tuple)):
+        return [ued._maze_state_to_dict(v) if isinstance(v, WrappedState) else format_level(v)
+                for v in value]
+    return value
+
+
 @pytest.mark.parametrize("algorithm", ["dr", "accel", "paired"])
 def test_train_result_is_the_saved_run_state(tmp_path, algorithm):
-    res = train(tiny_config(algorithm=algorithm), seed=2, out_dir=str(tmp_path), max_cycles=4)
-    saved = load_run_state(tmp_path / "state.json")
-    assert isinstance(res, RunState) and len(res.metrics) == 4
-    for name in ("cycle", "env_steps", "updates", "node"):
-        assert getattr(res, name) == saved.get(name), name
-    for name in ("params", "antagonist", "adversary"):
-        if name in saved:
-            assert params_to_bytes(getattr(res, name)) == params_to_bytes(saved[name]), name
-        else:
-            assert getattr(res, name) is None, name
-    if algorithm == "accel":
-        assert buffer_to_text(res.buffer) == buffer_to_text(saved["buffer"])
-    else:
-        assert res.buffer is None and "buffer" not in saved
-    assert [ued._maze_state_to_dict(s) for s in res.env_states or ()] == [
-        ued._maze_state_to_dict(s) for s in saved.get("env_states", ())]
-    assert [format_level(lv) for lv in res.last_replayed or ()] == [
-        format_level(lv) for lv in saved.get("last_replayed", ())]
+    cfg = tiny_config(algorithm=algorithm)
+    res = train(cfg, seed=2, out_dir=str(tmp_path), max_cycles=4)
+    config, master, saved = load_run_state(tmp_path / "state.json")
+    assert (config, master) == (cfg, R.key_from_seed(2))
+    assert isinstance(res, RunState) and len(res.metrics) == 4 and type(saved) is RunState
+    for f in fields(RunState):
+        assert _comparable(getattr(res, f.name)) == _comparable(getattr(saved, f.name)), f.name
     assert (algorithm == "accel") == bool(res.last_replayed)
+    assert (algorithm == "dr") == bool(res.env_states)
 
 
 def test_resume_drops_a_metrics_line_cut_mid_write(tmp_path):
@@ -486,6 +488,34 @@ def test_resume_drops_a_metrics_line_cut_mid_write(tmp_path):
         fh.write(last[:40])
     resume_run(snap, out_dir=str(run), max_cycles=1)
     assert run_files(run) == run_files(full)
+
+
+def test_resume_restores_a_kept_lines_newline(tmp_path):
+    # A kept last line without its newline once had the next cycle's line
+    # glued on ("}{"), and the resume after that raised UedError.
+    cfg = tiny_config()
+    run, full = tmp_path / "run", tmp_path / "full"
+    train(cfg, seed=0, out_dir=str(full), max_cycles=4)
+    train(cfg, seed=0, out_dir=str(run), max_cycles=2)
+    log = run / "metrics.jsonl"
+    log.write_bytes(log.read_bytes().rstrip(b"\n"))
+    resume_run(run / "state.json", out_dir=str(run), max_cycles=1)
+    resume_run(run / "state.json", out_dir=str(run), max_cycles=1)
+    assert run_files(run) == run_files(full)
+
+
+@pytest.mark.parametrize("line", [0, 2], ids=["kept", "past_checkpoint"])
+def test_resume_rejects_non_utf8_metrics(tmp_path, line):
+    # A byte that is not UTF-8 once raised a bare UnicodeDecodeError.
+    run, snap = tmp_path / "run", tmp_path / "snap.json"
+    train(tiny_config(), seed=0, out_dir=str(run), max_cycles=2)
+    os.replace(run / "state.json", snap)
+    resume_run(snap, out_dir=str(run), max_cycles=1)
+    lines = (run / "metrics.jsonl").read_bytes().splitlines(keepends=True)
+    lines[line] = lines[line][:20] + b"\xff" + lines[line][20:]
+    (run / "metrics.jsonl").write_bytes(b"".join(lines))
+    with pytest.raises(UedError, match="cannot extend"):
+        resume_run(snap, out_dir=str(run), max_cycles=1)
 
 
 def test_resume_into_same_dir_continues_metrics(tmp_path):
@@ -522,7 +552,7 @@ def test_interrupted_run_resumes_exactly(tmp_path, algorithm):
 
     with pytest.raises(Interrupt):
         train(cfg, seed=5, out_dir=str(run), cycle_callback=interrupt)
-    assert load_run_state(run / "state.json")["cycle"] == 3
+    assert load_run_state(run / "state.json")[2].cycle == 3
     resume_run(run / "state.json", out_dir=str(run))
     assert sorted(os.listdir(run)) == sorted(os.listdir(full))
     for name in os.listdir(full):
@@ -697,7 +727,7 @@ def test_old_run_state_with_minibatches_resumes(tmp_path):
     full = train(cfg, seed=4)
     train(cfg, seed=4, out_dir=str(tmp_path / "part"), max_cycles=3)
     old = _with_minibatches(tmp_path / "part" / "state.json", 1, tmp_path / "old.json")
-    assert load_run_state(old)["config"] == cfg
+    assert load_run_state(old)[0] == cfg
     resumed = resume_run(old)
     assert run_metrics(resumed) == run_metrics(full)[3:]
     assert params_to_bytes(resumed.params) == params_to_bytes(full.params)
@@ -713,10 +743,10 @@ def test_load_run_state_round_trip(tmp_path):
     out = tmp_path / "run"
     cfg = tiny_config(algorithm="accel")
     res = train(cfg, seed=2, out_dir=str(out), max_cycles=4)
-    state = load_run_state(out / "state.json")
-    assert state["config"] == cfg
-    assert params_to_bytes(state["params"]) == params_to_bytes(res.params)
-    assert state["cycle"] == 4
+    config, master, state = load_run_state(out / "state.json")
+    assert config == cfg and master == R.key_from_seed(2)
+    assert params_to_bytes(state.params) == params_to_bytes(res.params)
+    assert state.cycle == 4
 
 
 def test_run_state_rejects_bad_file(tmp_path):
@@ -889,7 +919,8 @@ def test_resume_rejects_bad_buffer_extras(tmp_path, extras):
         resume_run(bad, out_dir=str(tmp_path / "rest"))
 
 
-@pytest.mark.parametrize("algorithm, field", [("accel", "buffer"), ("accel", "node"),
+@pytest.mark.parametrize("algorithm, field", [("dr", "env_states"), ("accel", "buffer"),
+                                              ("accel", "node"), ("accel", "last_replayed"),
                                               ("paired", "antagonist"), ("paired", "adversary")])
 def test_load_run_state_requires_algorithm_fields(tmp_path, algorithm, field):
     train(tiny_config(algorithm=algorithm), seed=2, out_dir=str(tmp_path / "run"), max_cycles=2)
